@@ -578,7 +578,7 @@ let conflicts (a : Spec.t) (b : Spec.t) =
 let shipped () =
   [
     Locks.Adaptive_lock.policy_spec ();
-    Locks.Adaptive_lock.policy_spec ~guardrail:Locks.Guardrail.default_params
+    Locks.Adaptive_lock.policy_spec ~guardrail:Locks.Adaptive_lock.default_guardrail
       ~name:"adaptive-lock-guarded" ();
     Locks.Switch_lock.policy_spec ();
     Locks.Rw_lock.policy_spec ();

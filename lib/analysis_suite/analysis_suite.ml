@@ -448,8 +448,7 @@ let policy_fixtures () =
      earns it. *)
   let impl_clamped =
     Locks.Switch_lock.policy_spec
-      ~guardrail:
-        { Locks.Guardrail.default_params with Locks.Guardrail.clamp_max = 99 }
+      ~guardrail:{ Locks.Switch_lock.default_guardrail with clamp_max = 99 }
       ~name:"fixture-clamped-out-impl" ()
   in
   (* The same ladder with its per-transition hysteresis stripped: every

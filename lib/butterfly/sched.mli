@@ -187,11 +187,6 @@ val add_trace_hook : t -> (time:int -> tid:int -> string -> unit) -> unit
     stream on the machine this is a bus: all subscribed sinks see
     every message, in subscription order. *)
 
-val set_trace_hook : t -> (time:int -> tid:int -> string -> unit) -> unit
-(** @deprecated Alias for {!add_trace_hook}, kept for source
-    compatibility. Despite the historical name it no longer replaces
-    previously installed hooks. *)
-
 val clear_trace_hooks : t -> unit
 val trace_hook_count : t -> int
 
@@ -235,11 +230,6 @@ val add_event_hook : t -> (event -> unit) -> unit
 (** Subscribe an observer to the scheduling-event bus. Hooks run in
     subscription order; all subscribers see every event. Must be
     called before {!run}. *)
-
-val set_event_hook : t -> (event -> unit) -> unit
-(** @deprecated Alias for {!add_event_hook}, kept for source
-    compatibility. Despite the historical name it no longer replaces
-    previously installed hooks. *)
 
 val clear_event_hooks : t -> unit
 (** Remove every subscriber, restoring the zero-cost emission path. *)

@@ -21,9 +21,9 @@ let reconfigure ~label ?(cost = Cost.reads_writes 1 1) apply =
 let reconfigure_checked ~label ?(cost = Cost.reads_writes 1 1) apply =
   Reconfigure { label; cost; apply }
 
-let compose p q obs = match p obs with No_change -> q obs | d -> d
-
 module Guard = struct
+  type params = { clamp_max : int; pathological_limit : int; cooldown : int }
+
   type t = {
     limit : int;
     cooldown : int;
@@ -56,6 +56,10 @@ module Guard = struct
       false
     end
 
+  let of_params (p : params) =
+    if p.clamp_max < 0 then invalid_arg "Policy.Guard.of_params";
+    create ~pathological_limit:p.pathological_limit ~cooldown:p.cooldown ()
+
   let streak t = t.streak
   let fallbacks t = t.fallbacks
 
@@ -71,35 +75,6 @@ module Guard = struct
     t.cooldown_left <- 0;
     t.streak <- max 0 (t.limit - 1)
 end
-
-let guarded ~guard ~clamp ~fallback policy obs =
-  let obs, pathological = clamp obs in
-  if Guard.note guard ~pathological then fallback obs else policy obs
-
-let with_hysteresis ~min_gap policy =
-  let last_applied = ref None in
-  fun obs ->
-    match policy obs with
-    | No_change -> No_change
-    | Reconfigure r ->
-      let now = Butterfly.Ops.now () in
-      let too_soon =
-        match !last_applied with Some t -> now - t < min_gap | None -> false
-      in
-      if too_soon then No_change
-      else
-        (* Stamp the window only when the apply reports success: a
-           no-op reconfiguration (lost ownership race) must not
-           suppress the retry for the next [min_gap]. *)
-        Reconfigure
-          {
-            r with
-            apply =
-              (fun () ->
-                let ok = r.apply () in
-                if ok then last_applied := Some now;
-                ok);
-          }
 
 module Spec = struct
   type cond = { lo : int; hi : int option }

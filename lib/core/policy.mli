@@ -37,22 +37,32 @@ val reconfigure_checked :
     agent that must first win attribute ownership) and reports whether
     it took effect. *)
 
-val compose : 'obs t -> 'obs t -> 'obs t
-(** [compose p q] consults [p] first and falls back to [q] when [p]
-    decides [No_change]. *)
-
 (** Guardrail state machine usable by any adaptive object: count
     consecutive pathological observations, order a fallback after a
     streak, then suspend counting for a cooldown (hysteresis, so the
-    fallback cannot immediately re-trigger). [Locks.Guardrail] wraps
-    this with lock-specific clamping; {!guarded} below composes it
-    into a policy directly. *)
+    fallback cannot immediately re-trigger). {!Spec.compile} runs it
+    for every spec that carries a [s_guard]. *)
 module Guard : sig
+  type params = {
+    clamp_max : int;  (** raw samples clamped into [\[0, clamp_max\]] *)
+    pathological_limit : int;  (** consecutive pathological samples before fallback *)
+    cooldown : int;  (** samples with pathology counting suspended after a fallback *)
+  }
+  (** The guardrail knobs an adaptive lock takes as [?guardrail]: the
+      lock turns them into its [Spec.guard_spec] and into the
+      {!t} it passes to {!Spec.compile} as [guard_state]. *)
+
   type t
 
   val create : ?pathological_limit:int -> ?cooldown:int -> unit -> t
   (** Defaults: 4 consecutive pathological observations trigger a
-      fallback; counting suspended for the following 8. *)
+      fallback; counting suspended for the following 8. Raises
+      [Invalid_argument] when [pathological_limit <= 0] or
+      [cooldown < 0]. *)
+
+  val of_params : params -> t
+  (** {!create} from [params]; also raises [Invalid_argument] when
+      [clamp_max < 0]. *)
 
   val note : t -> pathological:bool -> bool
   (** Record one observation's verdict; [true] orders a fallback. *)
@@ -71,26 +81,6 @@ module Guard : sig
       instead of waiting out cooldown plus a fresh full streak.
       {!Spec.compile} calls this automatically. *)
 end
-
-val guarded :
-  guard:Guard.t ->
-  clamp:('obs -> 'obs * bool) ->
-  fallback:'obs t ->
-  'obs t ->
-  'obs t
-(** [guarded ~guard ~clamp ~fallback p] filters every observation
-    before [p] sees it: [clamp] returns the sanitized observation and
-    whether the raw one was pathological; when [guard] reports a
-    pathological streak, [fallback] decides instead of [p] (typically
-    a reset to the object's default configuration). *)
-
-val with_hysteresis : min_gap:int -> 'obs t -> 'obs t
-(** Suppress reconfigurations closer than [min_gap] virtual ns to the
-    previous applied one (a guard against thrashing; must run inside
-    the simulation because it reads the virtual clock). Only an apply
-    that reports success advances the window: a no-op reconfiguration
-    (e.g. an external agent losing the attribute-ownership race) does
-    not suppress the retry. *)
 
 (** Declarative adaptation-policy IR.
 
@@ -215,7 +205,7 @@ module Spec : sig
       counter itself resets only when the fired apply reports
       success, so a no-op apply retries at the next enabled sample.
 
-      [guard_state] shares an externally owned {!Guard.t} (so
-      [Locks.Guardrail] accessors keep reporting streaks/fallbacks);
-      by default the guard state is created from the spec. *)
+      [guard_state] shares an externally owned {!Guard.t} (so the
+      object can report its streaks and fallbacks); by default the
+      guard state is created from the spec. *)
 end

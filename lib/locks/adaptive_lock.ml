@@ -1,107 +1,131 @@
 module Policy = Adaptive_core.Policy
 module Sensor = Adaptive_core.Sensor
 module Adaptive = Adaptive_core.Adaptive
+module Attribute = Adaptive_core.Attribute
 
 type params = { waiting_threshold : int; n : int; spin_cap : int; sample_period : int }
 
 let default_params = { waiting_threshold = 4; n = 16; spin_cap = 32; sample_period = 2 }
 
+let default_guardrail =
+  { Policy.Guard.clamp_max = 64; pathological_limit = 4; cooldown = 8 }
+
 type t = {
   reconf : Reconfigurable_lock.t;
   loop : int Adaptive.t;
-  budget : Spin_budget.t;
-  mutable guard : Guardrail.t option;
+  spec : Policy.Spec.t;
+  mutable spins : int;
+  guard : Policy.Guard.t option;
 }
 
-let apply_budget t =
-  Spin_budget.apply t.budget (Lock_core.policy (Reconfigurable_lock.core t.reconf));
-  Lock_stats.on_reconfigure (Reconfigurable_lock.stats t.reconf)
+let mode_of ~cap v =
+  if v <= 0 then "pure blocking"
+  else if v >= cap then "pure spin"
+  else Printf.sprintf "combined(%d)" v
+
+(* The paper's rule as a pure function of the budget value. *)
+let step (p : params) spins ~waiting =
+  if waiting = 0 then p.spin_cap
+  else if waiting <= p.waiting_threshold then min p.spin_cap (spins + p.n)
+  else max 0 (spins - (2 * p.n))
+
+let configure_waiting (p : params) (policy : Waiting.t) spins =
+  if spins >= p.spin_cap then begin
+    Attribute.set policy.Waiting.spin_count max_int;
+    Attribute.set policy.Waiting.sleep false
+  end
+  else begin
+    Attribute.set policy.Waiting.spin_count spins;
+    Attribute.set policy.Waiting.sleep true
+  end
 
 (* The guardrail half of the policy spec: clamp observations into
    [0, clamp_max], treat "budget wedged at pure blocking while waiters
    pile past the threshold" as pathological, and fall back to the
    default combined configuration after a streak. *)
-let guard_spec ~(params : params) ~(gparams : Guardrail.params) ~init =
+let guard_spec ~(params : params) ~(guardrail : Policy.Guard.params) ~init =
   {
     Policy.Spec.g_clamp_lo = 0;
-    g_clamp_hi = gparams.Guardrail.clamp_max;
+    g_clamp_hi = guardrail.clamp_max;
     g_wedge =
       Some
         {
           Policy.Spec.w_configs = [ 0 ];
           w_cond = Policy.Spec.cond (params.waiting_threshold + 1);
         };
-    g_limit = gparams.Guardrail.pathological_limit;
-    g_cooldown = gparams.Guardrail.cooldown;
+    g_limit = guardrail.pathological_limit;
+    g_cooldown = guardrail.cooldown;
     g_fallback = init;
     g_fallback_label = "guardrail-fallback";
     g_fallback_cost = Lock_costs.configure_waiting_policy;
   }
 
-(* The paper's [simple-adapt] (optionally guardrailed) as a
-   declarative spec — what the static policy checker inspects and what
-   [create] compiles into the running policy, so the two cannot
-   drift. *)
-let policy_spec ?(params = default_params) ?guardrail ?name ?attribute () =
-  let spec =
-    Spin_budget.spec ?name ?attribute ~threshold:params.waiting_threshold
-      ~n:params.n ~cap:params.spin_cap ~init:params.n ()
+let policy_spec ?(params = default_params) ?guardrail ?(name = "adaptive-lock") () =
+  let module Spec = Policy.Spec in
+  let threshold = params.waiting_threshold and cap = params.spin_cap in
+  if threshold < 0 || params.n <= 0 || cap <= 0 then invalid_arg "Adaptive_lock.policy_spec";
+  let init = max 0 (min cap params.n) in
+  (* One representative waiting count per threshold region, and the
+     reachable-budget closure from [init] under them. *)
+  let regions =
+    (Spec.cond 0 ~hi:0, 0)
+    :: (if threshold >= 1 then [ (Spec.cond 1 ~hi:threshold, 1) ] else [])
+    @ [ (Spec.cond (threshold + 1), threshold + 1) ]
   in
-  match guardrail with
-  | None -> spec
-  | Some gparams ->
-    {
-      spec with
-      Policy.Spec.s_guard =
-        Some (guard_spec ~params ~gparams ~init:spec.Policy.Spec.s_initial);
-    }
-
-(* The [simple-adapt] step as a policy over any spin budget — the
-   plumbing shared by this closely-coupled lock and Monitoring's
-   loosely-coupled one, which differ only in how observations arrive
-   and how [apply] reaches the attributes. [apply] reports whether the
-   reconfiguration took effect: the closely-coupled path always
-   succeeds, the external-agent path can lose the ownership race (the
-   budget still advances, tracking the policy's intent — exactly the
-   pre-IR behavior, where [step] mutated at decision time). *)
-let compile_budget spec ~budget ~apply =
-  Policy.Spec.compile spec
-    ~read:(fun () -> Spin_budget.spins budget)
-    ~apply:(fun v ->
-      Spin_budget.set budget v;
-      apply ())
-    ~metric:(fun (waiting : int) -> waiting)
-
-let budget_policy ~budget ~apply =
-  compile_budget (Spin_budget.spec_of budget) ~budget ~apply
-
-let simple_adapt _params t =
-  budget_policy ~budget:t.budget
-    ~apply:(fun () ->
-      apply_budget t;
-      true)
-
-(* Guardrail-filtered simple-adapt: the same spec with its guard
-   attached, sharing the [Guardrail.t]'s streak/cooldown state so its
-   accessors keep reporting. A pathological streak resets the budget
-   to its default combined value (one charged waiting-policy
-   reconfiguration) instead of feeding the policy. *)
-let guarded_adapt params guard t =
-  let spec =
-    policy_spec ~params ~guardrail:(Guardrail.config guard)
-      ~name:(Adaptive.name t.loop) ()
+  let rec close seen frontier =
+    match frontier with
+    | [] -> seen
+    | v :: rest ->
+      let nexts =
+        List.filter_map
+          (fun waiting ->
+            let v' = step params v ~waiting in
+            if List.mem v' seen then None else Some v')
+          (List.map snd regions)
+      in
+      let nexts = List.sort_uniq compare nexts in
+      close (seen @ nexts) (rest @ nexts)
   in
-  Policy.Spec.compile spec
-    ~guard_state:(Guardrail.guard guard)
-    ~read:(fun () -> Spin_budget.spins t.budget)
-    ~apply:(fun v ->
-      Spin_budget.set t.budget v;
-      apply_budget t;
-      true)
-    ~metric:(fun (waiting : int) -> waiting)
+  let values = List.sort compare (close [ init ] [ init ]) in
+  let transitions =
+    List.concat_map
+      (fun v ->
+        List.filter_map
+          (fun (c, waiting) ->
+            let target = step params v ~waiting in
+            if target = v then None
+            else
+              Some
+                {
+                  Spec.t_from = v;
+                  t_cond = c;
+                  t_target = target;
+                  t_label = mode_of ~cap target;
+                  t_repeats = 1;
+                  t_cost = Lock_costs.configure_waiting_policy;
+                })
+          regions)
+      values
+  in
+  {
+    Spec.s_name = name;
+    s_kind = "lock";
+    s_attribute = name ^ ".waiting-policy";
+    s_metric = "no-of-waiting-threads";
+    s_monotone = Spec.Up_at_low;
+    s_configs = List.map (fun v -> { Spec.c_name = mode_of ~cap v; c_value = v }) values;
+    s_initial = init;
+    s_transitions = transitions;
+    s_guard = Option.map (fun guardrail -> guard_spec ~params ~guardrail ~init) guardrail;
+  }
 
 let create ?name ?trace ?sched ?(params = default_params) ?policy ?guardrail ~home () =
   let name = match name with Some n -> n | None -> "adaptive-lock" in
+  let spec = policy_spec ~params ?guardrail ~name () in
+  (* A caller-supplied policy replaces simple-adapt (and its guard). *)
+  let guard =
+    match policy with Some _ -> None | None -> Option.map Policy.Guard.of_params guardrail
+  in
   let waiting = Waiting.combined ~node:home ~spins:params.n () in
   let reconf = Reconfigurable_lock.create ~name ?trace ?sched ~policy:waiting ~home () in
   let core = Reconfigurable_lock.core reconf in
@@ -114,27 +138,24 @@ let create ?name ?trace ?sched ?(params = default_params) ?policy ?guardrail ~ho
      policies; a caller-supplied policy is opaque, so no spec — the
      registry then skips the formal log check rather than judging the
      log against a space it does not follow. *)
-  let spec =
-    match policy with Some _ -> None | None -> Some (policy_spec ~params ?guardrail ~name ())
-  in
   let loop =
-    Adaptive.create ~name ~kind:"lock" ?spec ~home ~sensor ~policy:Policy.no_op ()
+    Adaptive.create ~name ~kind:"lock"
+      ?spec:(match policy with Some _ -> None | None -> Some spec)
+      ~home ~sensor ~policy:Policy.no_op ()
   in
-  let budget =
-    Spin_budget.create ~threshold:params.waiting_threshold ~n:params.n ~cap:params.spin_cap
-      ~init:params.n
-  in
-  let t = { reconf; loop; budget; guard = None } in
+  let t = { reconf; loop; spec; spins = spec.Policy.Spec.s_initial; guard } in
   let policy =
     match policy with
     | Some p -> p
-    | None -> (
-      match guardrail with
-      | None -> simple_adapt params t
-      | Some gparams ->
-        let guard = Guardrail.create ~params:gparams () in
-        t.guard <- Some guard;
-        guarded_adapt params guard t)
+    | None ->
+      Policy.Spec.compile spec ?guard_state:guard
+        ~read:(fun () -> t.spins)
+        ~apply:(fun v ->
+          t.spins <- v;
+          configure_waiting params (Lock_core.policy core) v;
+          Lock_stats.on_reconfigure (Reconfigurable_lock.stats reconf);
+          true)
+        ~metric:(fun (waiting : int) -> waiting)
   in
   Adaptive.set_policy loop policy;
   t
@@ -154,8 +175,8 @@ let name t = Reconfigurable_lock.name t.reconf
 let stats t = Reconfigurable_lock.stats t.reconf
 let reconfigurable t = t.reconf
 let feedback t = t.loop
-let spins_now t = Spin_budget.spins t.budget
-let mode t = Spin_budget.mode t.budget
+let spins_now t = t.spins
+let mode t = Policy.Spec.config_name t.spec t.spins
 let adaptations t = Adaptive.adaptations t.loop
 let samples t = Adaptive.samples t.loop
 let guardrail t = t.guard

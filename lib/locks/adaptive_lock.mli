@@ -18,7 +18,10 @@
     The spin budget is a saturating counter in [0, spin_cap]: 0 is the
     pure-blocking configuration, [spin_cap] the pure-spin one, anything
     between a combined spin-then-block lock. Each applied transition is
-    charged as one waiting-policy reconfiguration (Table 8). *)
+    charged as one waiting-policy reconfiguration (Table 8). The
+    running policy is {!policy_spec} compiled by
+    [Adaptive_core.Policy.Spec.compile]; the loosely coupled lock in
+    [Monitoring] compiles the same spec. *)
 
 type t
 
@@ -32,13 +35,16 @@ type params = {
 val default_params : params
 (** threshold 4, n 16, cap 32, period 2. *)
 
+val default_guardrail : Adaptive_core.Policy.Guard.params
+(** clamp_max 64, pathological_limit 4, cooldown 8. *)
+
 val create :
   ?name:string ->
   ?trace:bool ->
   ?sched:Lock_sched.kind ->
   ?params:params ->
   ?policy:int Adaptive_core.Policy.t ->
-  ?guardrail:Guardrail.params ->
+  ?guardrail:Adaptive_core.Policy.Guard.params ->
   home:int ->
   unit ->
   t
@@ -47,12 +53,17 @@ val create :
     adaptation policy" hook. The lock starts in the combined
     configuration with [n] spins.
 
-    [guardrail] (ignored when [policy] is given) wraps [simple-adapt]
-    in a {!Guardrail}: observations are clamped, and a run of
-    pathological samples triggers a fallback to the default combined
-    configuration (charged as one reconfiguration) instead of wedging
-    the budget at an extreme. Off by default — without it the lock
-    behaves bit-for-bit as before. *)
+    [guardrail] (ignored when [policy] is given) adds a guard to the
+    compiled spec: observations are clamped into [\[0, clamp_max\]],
+    and a run of pathological samples — clamped ones, or waiters
+    piling past the threshold while the budget sits at pure blocking —
+    triggers a fallback to the default combined configuration (charged
+    as one reconfiguration) instead of wedging the budget at an
+    extreme. Off by default.
+
+    Raises [Invalid_argument] when [waiting_threshold < 0], [n <= 0]
+    or [spin_cap <= 0], or when a [guardrail] used by the policy has
+    [clamp_max < 0], [pathological_limit <= 0] or [cooldown < 0]. *)
 
 val lock : t -> unit
 val try_lock : t -> bool
@@ -83,32 +94,29 @@ val mode : t -> string
 val adaptations : t -> int
 val samples : t -> int
 
-val guardrail : t -> Guardrail.t option
-(** The installed guardrail, if any (for tests and reporting). *)
+val guardrail : t -> Adaptive_core.Policy.Guard.t option
+(** The guard state the compiled policy runs, when a guardrail is
+    installed (for tests and reporting). *)
 
 val policy_spec :
   ?params:params ->
-  ?guardrail:Guardrail.params ->
+  ?guardrail:Adaptive_core.Policy.Guard.params ->
   ?name:string ->
-  ?attribute:string ->
   unit ->
   Adaptive_core.Policy.Spec.t
 (** [simple-adapt] (plus the guardrail, when given) as a declarative
     policy spec — the artifact the static checker
     ([Analysis.Policy_check]) model-checks, and exactly what {!create}
-    compiles into the running policy. Pure data; buildable outside a
-    simulation. *)
+    compiles into the running policy. Configurations are the budget
+    values reachable from the initial one (named as by {!mode}),
+    transitions carry the three threshold regions (waiting = 0 /
+    1..threshold / threshold+1..). [name] defaults to
+    ["adaptive-lock"]; the attribute is [name ^ ".waiting-policy"]. Pure
+    data; buildable outside a simulation. Raises [Invalid_argument]
+    on the parameter errors {!create} rejects. *)
 
-val simple_adapt : params -> t -> int Adaptive_core.Policy.t
-(** The paper's policy, exposed so ablations can wrap it (e.g. with
-    hysteresis) or sweep its constants. *)
-
-val budget_policy :
-  budget:Spin_budget.t -> apply:(unit -> bool) -> int Adaptive_core.Policy.t
-(** The [simple-adapt] step over an arbitrary {!Spin_budget} and
-    reconfiguration action — the policy shared with the
-    loosely-coupled lock in [Monitoring], which supplies an [apply]
-    that acquires attribute ownership as an external agent must.
-    [apply] reports whether the reconfiguration took effect, so an
-    external agent that loses the ownership race is not counted as an
-    adaptation. *)
+val configure_waiting : params -> Waiting.t -> int -> unit
+(** Write the waiting attributes for a spin budget: at [spin_cap] or
+    above, spin forever without sleeping; otherwise spin that many
+    probes, then sleep. How every lock running {!policy_spec} applies
+    a reconfiguration. *)

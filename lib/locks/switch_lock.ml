@@ -61,7 +61,7 @@ let default_params =
 (* The implementation ladder's metric tops out at 199 (see [score]),
    so the guardrail clamp must keep the blocking region reachable. *)
 let default_guardrail =
-  { Guardrail.clamp_max = 199; pathological_limit = 4; cooldown = 8 }
+  { Policy.Guard.clamp_max = 199; pathological_limit = 4; cooldown = 8 }
 
 type waiter = {
   w_tid : int;
@@ -95,7 +95,7 @@ type t = {
   mutable swap_rollbacks : int;
   mutable abandoned_recoveries : int;
   mutable loop : int Adaptive.t option;
-  mutable guard_state : Guardrail.t option;
+  mutable guard_state : Policy.Guard.t option;
   mutable probe : (int -> string -> unit) option;
       (* conformance instrumentation: one callback per protocol
          transition, labelled to match [Proto_models.quiescence] *)
@@ -163,13 +163,13 @@ let transitions ~(params : params) =
     t ~from:Blocking ~cond:queued ~target:Mcs;
   ]
 
-let guard_spec ~(gparams : Guardrail.params) =
+let guard_spec ~(gparams : Policy.Guard.params) =
   {
     Policy.Spec.g_clamp_lo = 0;
-    g_clamp_hi = gparams.Guardrail.clamp_max;
+    g_clamp_hi = gparams.clamp_max;
     g_wedge = None;
-    g_limit = gparams.Guardrail.pathological_limit;
-    g_cooldown = gparams.Guardrail.cooldown;
+    g_limit = gparams.pathological_limit;
+    g_cooldown = gparams.cooldown;
     (* The fallback is an implementation id, not a knob value: a
        guardrailed ladder must land on a config the lock can run. *)
     g_fallback = impl_id Tas;
@@ -763,11 +763,10 @@ let create ?name ?trace ?(params = default_params) ?(guardrail = default_guardra
       Adaptive.create ~name ~kind:"lock-impl" ~spec ~home ~sensor ~policy:Policy.no_op
         ()
     in
-    let guard_state = Guardrail.create ~params:guardrail () in
+    let guard_state = Policy.Guard.of_params guardrail in
     t.guard_state <- Some guard_state;
     let policy =
-      Policy.Spec.compile spec
-        ~guard_state:(Guardrail.guard guard_state)
+      Policy.Spec.compile spec ~guard_state
         ~read:(fun () -> impl_id t.impl)
         ~apply:(fun v -> apply_impl t v)
         ~metric:(fun (s : int) -> s)

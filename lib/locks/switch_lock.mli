@@ -41,7 +41,7 @@ type params = {
 
 val default_params : params
 
-val default_guardrail : Guardrail.params
+val default_guardrail : Adaptive_core.Policy.Guard.params
 (** Clamp sized to the composite metric (0–199), so the blocking
     region stays reachable under the guardrail. *)
 
@@ -51,7 +51,7 @@ val create :
   ?name:string ->
   ?trace:bool ->
   ?params:params ->
-  ?guardrail:Guardrail.params ->
+  ?guardrail:Adaptive_core.Policy.Guard.params ->
   ?fixed:impl ->
   ?initial:impl ->
   ?bug:bug ->
@@ -64,8 +64,10 @@ val create :
     their premise. [initial] also starts at the given implementation
     with no feedback loop, but leaves explicit {!swap_to} available —
     for manually driven swap windows (fixtures, benchmarks). The two
-    are mutually exclusive. [guardrail] attaches a {!Guardrail} to
-    the compiled ladder. *)
+    are mutually exclusive. [guardrail] sets the guard of the
+    compiled ladder (default {!default_guardrail}); when a feedback
+    loop is built, [clamp_max < 0], [pathological_limit <= 0] or
+    [cooldown < 0] raises [Invalid_argument]. *)
 
 val lock : t -> unit
 val try_lock : t -> bool
@@ -93,7 +95,10 @@ val set_impl : t -> impl -> bool
 (** [lock]; {!swap_to}; [unlock] — for explicit reconfiguration. *)
 
 val policy_spec :
-  ?params:params -> ?guardrail:Guardrail.params -> ?name:string -> unit ->
+  ?params:params ->
+  ?guardrail:Adaptive_core.Policy.Guard.params ->
+  ?name:string ->
+  unit ->
   Adaptive_core.Policy.Spec.t
 (** The implementation ladder as a declarative spec
     ([s_kind = "lock-impl"], metric ["contention-score"]): what the
@@ -124,4 +129,4 @@ val set_transition_probe : t -> (int -> string -> unit) option -> unit
 val adaptations : t -> int
 val samples : t -> int
 val feedback : t -> int Adaptive_core.Adaptive.t option
-val guardrail : t -> Guardrail.t option
+val guardrail : t -> Adaptive_core.Policy.Guard.t option

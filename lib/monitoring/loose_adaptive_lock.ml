@@ -2,12 +2,14 @@ open Butterfly
 module AL = Locks.Adaptive_lock
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
+module Policy = Adaptive_core.Policy
 
 type t = {
   reconf : Locks.Reconfigurable_lock.t;
   ring : (int * int) Ring_buffer.t;
   monitor : (int * int) Monitor_thread.t;
-  budget : Locks.Spin_budget.t;
+  spec : Policy.Spec.t;
+  mutable spins : int;
   loop : int Adaptive.t;
   sample_period : int;
   mutable unlocks_until_sample : int;
@@ -18,35 +20,16 @@ let waiting_count reconf =
 
 let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
     ?ring_capacity ?poll_interval_ns ~home ~monitor_proc () =
+  let spec = AL.policy_spec ~params ~name () in
   let waiting = Locks.Waiting.combined ~node:home ~spins:params.AL.n () in
   let reconf = Locks.Reconfigurable_lock.create ~name ?trace ~policy:waiting ~home () in
   let ring = Ring_buffer.create ?capacity:ring_capacity ~home () in
-  let budget =
-    Locks.Spin_budget.create ~threshold:params.AL.waiting_threshold ~n:params.AL.n
-      ~cap:params.AL.spin_cap ~init:params.AL.n
-  in
-  (* External agent path: the monitor thread must own the attributes
-     to reconfigure them. The policy itself — stepping the budget and
-     mapping it onto the waiting attributes — is the exact
-     [simple-adapt] plumbing the closely-coupled lock uses
-     ({!Locks.Adaptive_lock.budget_policy}); only the [apply] differs. *)
-  let apply () =
-    if Locks.Reconfigurable_lock.acquire_ownership reconf then begin
-      Locks.Spin_budget.apply budget
-        (Locks.Lock_core.policy (Locks.Reconfigurable_lock.core reconf));
-      Locks.Lock_stats.on_reconfigure (Locks.Reconfigurable_lock.stats reconf);
-      Locks.Reconfigurable_lock.release_ownership reconf;
-      true
-    end
-    else false (* lost the ownership race: nothing changed, don't count it *)
-  in
   let loop =
-    Adaptive.create ~name ~kind:"lock" ~spec:(Locks.Spin_budget.spec_of budget) ~home
+    Adaptive.create ~name ~kind:"lock" ~spec ~home
       ~sensor:
         (Sensor.make ~name:(name ^ ".no-of-waiting-threads") ~overhead_instrs:40
            (fun () -> waiting_count reconf))
-      ~policy:(AL.budget_policy ~budget ~apply)
-      ()
+      ~policy:Policy.no_op ()
   in
   (* The loosely-coupled feedback path: the monitor thread drains the
      ring and feeds each (possibly stale) observation to the loop. *)
@@ -56,15 +39,39 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
       ~deliver:(fun waiting -> ignore (Adaptive.feed loop waiting))
       ()
   in
-  {
-    reconf;
-    ring;
-    monitor;
-    budget;
-    loop;
-    sample_period = params.AL.sample_period;
-    unlocks_until_sample = params.AL.sample_period;
-  }
+  let t =
+    {
+      reconf;
+      ring;
+      monitor;
+      spec;
+      spins = spec.Policy.Spec.s_initial;
+      loop;
+      sample_period = params.AL.sample_period;
+      unlocks_until_sample = params.AL.sample_period;
+    }
+  in
+  (* The same compiled spec as the closely-coupled lock; only [apply]
+     differs. An external agent must own the attributes to reconfigure
+     them. The budget advances even when it loses the ownership race
+     (it tracks the policy's intent), but nothing changed, so the
+     attempt does not count as an adaptation. *)
+  Adaptive.set_policy loop
+    (Policy.Spec.compile spec
+       ~read:(fun () -> t.spins)
+       ~apply:(fun v ->
+         t.spins <- v;
+         if Locks.Reconfigurable_lock.acquire_ownership reconf then begin
+           AL.configure_waiting params
+             (Locks.Lock_core.policy (Locks.Reconfigurable_lock.core reconf))
+             v;
+           Locks.Lock_stats.on_reconfigure (Locks.Reconfigurable_lock.stats reconf);
+           Locks.Reconfigurable_lock.release_ownership reconf;
+           true
+         end
+         else false)
+       ~metric:(fun (waiting : int) -> waiting));
+  t
 
 let lock t = Locks.Reconfigurable_lock.lock t.reconf
 
@@ -83,4 +90,4 @@ let adaptations t = Adaptive.adaptations t.loop
 let observations_published t = Ring_buffer.published t.ring
 let observations_processed t = Monitor_thread.processed t.monitor
 let max_lag_ns t = Monitor_thread.max_lag_ns t.monitor
-let mode t = Locks.Spin_budget.mode t.budget
+let mode t = Policy.Spec.config_name t.spec t.spins

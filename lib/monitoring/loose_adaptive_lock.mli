@@ -6,9 +6,9 @@
     waiting-thread count) into a {!Ring_buffer}; a {!Monitor_thread} on
     a dedicated processor drains the buffer and feeds each (possibly
     stale) observation to a genuine [Adaptive_core.Adaptive] loop via
-    [Adaptive.feed] — the policy is the same [simple-adapt] plumbing
-    the closely-coupled lock uses
-    ({!Locks.Adaptive_lock.budget_policy}); only the [apply] differs,
+    [Adaptive.feed] — the policy is the same compiled
+    {!Locks.Adaptive_lock.policy_spec} the closely-coupled lock runs,
+    declared under this lock's own name; only the [apply] differs,
     acquiring attribute ownership the way an external agent must. The
     paper found exactly this structure "too loosely coupled to be used
     in adaptive lock objects"; the coupling ablation quantifies that
@@ -29,7 +29,8 @@ val create :
   t
 (** The monitor thread is forked immediately, pinned to
     [monitor_proc] (dedicate that processor: do not place application
-    threads there). *)
+    threads there). Raises [Invalid_argument] on the parameter errors
+    {!Locks.Adaptive_lock.create} rejects. *)
 
 val lock : t -> unit
 val unlock : t -> unit

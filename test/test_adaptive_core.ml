@@ -198,38 +198,6 @@ let test_sensor_sampling_costs_time () =
   in
   Alcotest.(check int) "overhead charged" (Config.instrs cfg 100) !dt
 
-let test_policy_compose () =
-  let p1 = function 1 -> Policy.reconfigure ~label:"one" (fun () -> ()) | _ -> Policy.No_change in
-  let p2 = function 2 -> Policy.reconfigure ~label:"two" (fun () -> ()) | _ -> Policy.No_change in
-  let p = Policy.compose p1 p2 in
-  let label = function
-    | Policy.No_change -> "none"
-    | Policy.Reconfigure { label; _ } -> label
-  in
-  Alcotest.(check string) "first wins" "one" (label (p 1));
-  Alcotest.(check string) "fallback" "two" (label (p 2));
-  Alcotest.(check string) "neither" "none" (label (p 3))
-
-let test_policy_hysteresis () =
-  let applied = ref 0 in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let base _ = Policy.reconfigure ~label:"r" (fun () -> incr applied) in
-        let p = Policy.with_hysteresis ~min_gap:100_000 base in
-        let fire () =
-          match p 0 with
-          | Policy.Reconfigure { apply; _ } -> ignore (apply () : bool)
-          | Policy.No_change -> ()
-        in
-        fire ();
-        Ops.work 10_000;
-        fire ();
-        (* suppressed: only 10us later *)
-        Ops.work 200_000;
-        fire ())
-  in
-  Alcotest.(check int) "two of three applied" 2 !applied
-
 let test_feedback_loop_adapts () =
   let observed_modes = ref [] in
   let (_ : Sched.t) =
@@ -340,8 +308,6 @@ let suite =
     Alcotest.test_case "sensor rate change" `Quick test_sensor_set_period;
     Alcotest.test_case "sensor history" `Quick test_sensor_history;
     Alcotest.test_case "sensor cost" `Quick test_sensor_sampling_costs_time;
-    Alcotest.test_case "policy compose" `Quick test_policy_compose;
-    Alcotest.test_case "policy hysteresis" `Quick test_policy_hysteresis;
     Alcotest.test_case "feedback adapts" `Quick test_feedback_loop_adapts;
     Alcotest.test_case "feedback feed" `Quick test_feedback_feed_bypasses_sensor;
     Alcotest.test_case "feedback charges cost" `Quick test_feedback_charges_cost;

@@ -304,37 +304,35 @@ let test_lock_retrying_recovers () =
 (* -- guardrails ---------------------------------------------------- *)
 
 let test_guardrail_clamp_and_fallback () =
-  let params =
-    { Locks.Guardrail.clamp_max = 10; pathological_limit = 3; cooldown = 2 }
+  (* The compiled, guardrailed simple-adapt policy (threshold 2, n 4,
+     cap 16: initial budget 4) fed raw waiting counts. *)
+  let b =
+    Test_lock_units.drive_budget
+      ~guardrail:
+        { Adaptive_core.Policy.Guard.clamp_max = 10; pathological_limit = 3; cooldown = 2 }
+      { Locks.Adaptive_lock.waiting_threshold = 2; n = 4; spin_cap = 16; sample_period = 1 }
   in
-  let g = Locks.Guardrail.create ~params () in
-  (match Locks.Guardrail.observe g ~waiting:50 ~wedged_low:false with
-  | Locks.Guardrail.Sample v -> check_int "absurd sample clamped" 10 v
-  | Locks.Guardrail.Fallback -> Alcotest.fail "fallback too early");
-  check_int "streak counted" 1 (Locks.Guardrail.streak g);
-  (match Locks.Guardrail.observe g ~waiting:3 ~wedged_low:true with
-  | Locks.Guardrail.Sample v -> check_int "wedged sample passes clamped" 3 v
-  | Locks.Guardrail.Fallback -> Alcotest.fail "fallback too early");
-  (match Locks.Guardrail.observe g ~waiting:99 ~wedged_low:false with
-  | Locks.Guardrail.Fallback -> ()
-  | Locks.Guardrail.Sample _ -> Alcotest.fail "third pathological sample must fall back");
-  check_int "one fallback" 1 (Locks.Guardrail.fallbacks g);
+  let g = Option.get b.Test_lock_units.guard in
+  let streak () = Adaptive_core.Policy.Guard.streak g in
+  (* an absurd sample is clamped (and counted), then steps the budget *)
+  check_bool "clamped sample still steps" true (b.step ~waiting:50 = Some "pure blocking");
+  check_int "streak counted" 1 (streak ());
+  check_int "stepped to the blocking extreme" 0 !(b.spins);
+  (* in range, but waiters pile up at pure blocking: wedged *)
+  check_bool "wedged sample has nowhere to go" true (b.step ~waiting:3 = None);
+  check_int "wedge counted" 2 (streak ());
+  check_bool "third pathological sample must fall back" true
+    (b.step ~waiting:99 = Some "guardrail-fallback");
+  check_int "one fallback" 1 (Adaptive_core.Policy.Guard.fallbacks g);
+  check_int "fallback restores the initial budget" 4 !(b.spins);
   (* cooldown: the next two pathological samples do not count *)
-  (match Locks.Guardrail.observe g ~waiting:99 ~wedged_low:true with
-  | Locks.Guardrail.Sample _ -> ()
-  | Locks.Guardrail.Fallback -> Alcotest.fail "cooldown must suppress fallback");
-  check_int "cooldown leaves streak at zero" 0 (Locks.Guardrail.streak g);
+  check_bool "cooldown must suppress fallback" true (b.step ~waiting:99 = Some "pure blocking");
+  check_bool "still cooling down" true (b.step ~waiting:99 = None);
+  check_int "cooldown leaves streak at zero" 0 (streak ());
   (* a healthy sample resets the streak *)
-  ignore (Locks.Guardrail.observe g ~waiting:99 ~wedged_low:false);
-  ignore (Locks.Guardrail.observe g ~waiting:2 ~wedged_low:false);
-  check_int "healthy sample resets" 0 (Locks.Guardrail.streak g);
-  (* the fallback target: Spin_budget.reset returns to the initial
-     (default combined) budget *)
-  let b = Locks.Spin_budget.create ~threshold:2 ~n:4 ~cap:16 ~init:4 in
-  ignore (Locks.Spin_budget.step b ~waiting:10);
-  check_int "stepped to the blocking extreme" 0 (Locks.Spin_budget.spins b);
-  Locks.Spin_budget.reset b;
-  check_int "reset restores the initial budget" 4 (Locks.Spin_budget.spins b)
+  check_bool "healthy sample steps" true (b.step ~waiting:2 = Some "combined(4)");
+  check_int "healthy sample resets" 0 (streak ());
+  check_int "still one fallback" 1 (Adaptive_core.Policy.Guard.fallbacks g)
 
 let test_adaptive_lock_guardrail_fallback () =
   (* waiting_threshold 0 with contention drives simple-adapt's budget
@@ -348,7 +346,7 @@ let test_adaptive_lock_guardrail_fallback () =
         { Locks.Adaptive_lock.waiting_threshold = 0; n = 2; spin_cap = 4; sample_period = 1 }
       in
       let guardrail =
-        { Locks.Guardrail.clamp_max = 64; pathological_limit = 2; cooldown = 1000 }
+        { Adaptive_core.Policy.Guard.clamp_max = 64; pathological_limit = 2; cooldown = 1000 }
       in
       let lk = Locks.Adaptive_lock.create ~params ~guardrail ~home:0 () in
       let ts =
@@ -363,7 +361,7 @@ let test_adaptive_lock_guardrail_fallback () =
       Cthread.join_all ts;
       (match Locks.Adaptive_lock.guardrail lk with
       | None -> Alcotest.fail "guardrail not installed"
-      | Some g -> fallbacks := Locks.Guardrail.fallbacks g);
+      | Some g -> fallbacks := Adaptive_core.Policy.Guard.fallbacks g);
       spins := Locks.Adaptive_lock.spins_now lk;
       reconfs := Locks.Lock_stats.reconfigurations (Locks.Adaptive_lock.stats lk));
   check_bool "guardrail fell back" true (!fallbacks >= 1);

@@ -1,6 +1,6 @@
 (* Unit tests of the lock building blocks: the waiting-policy
-   attributes, the scheduler components, and the simple-adapt budget
-   state machine. *)
+   attributes, the scheduler components, and the compiled simple-adapt
+   budget policy. *)
 
 open Butterfly
 
@@ -113,56 +113,139 @@ let test_sched_kind_change_keeps_queue () =
   | Some x -> check_int "now priority order" 2 x.Locks.Lock_sched.tid
   | None -> Alcotest.fail "expected a waiter")
 
-(* Spin-budget state machine (simple-adapt). *)
+(* The compiled simple-adapt policy ([Adaptive_lock.policy_spec] run by
+   [Spec.compile]), driven outside a simulation: [step ~waiting] feeds
+   one observation, applies any reconfiguration it decides and returns
+   that reconfiguration's label. Shared with the guardrail and oracle
+   tests. *)
 
-let budget () = Locks.Spin_budget.create ~threshold:3 ~n:4 ~cap:16 ~init:4
+module Spec = Adaptive_core.Policy.Spec
+module Guard = Adaptive_core.Policy.Guard
+
+type driven = {
+  spec : Spec.t;
+  spins : int ref;
+  guard : Guard.t option;
+  step : waiting:int -> string option;
+}
+
+let drive_budget ?guardrail params =
+  let spec = Locks.Adaptive_lock.policy_spec ~params ?guardrail () in
+  let guard = Option.map Guard.of_params guardrail in
+  let spins = ref spec.Spec.s_initial in
+  let policy =
+    Spec.compile spec ?guard_state:guard
+      ~read:(fun () -> !spins)
+      ~apply:(fun v ->
+        spins := v;
+        true)
+      ~metric:Fun.id
+  in
+  let step ~waiting =
+    match policy waiting with
+    | Adaptive_core.Policy.No_change -> None
+    | Adaptive_core.Policy.Reconfigure { label; apply; _ } ->
+      ignore (apply () : bool);
+      Some label
+  in
+  { spec; spins; guard; step }
+
+let budget_params =
+  { Locks.Adaptive_lock.waiting_threshold = 3; n = 4; spin_cap = 16; sample_period = 1 }
+
+let budget () = drive_budget budget_params
+let mode b = Spec.config_name b.spec !(b.spins)
 
 let test_budget_zero_waiters_jumps_to_cap () =
   let b = budget () in
-  check_bool "changed" true (Locks.Spin_budget.step b ~waiting:0 <> None);
-  check_int "at cap" 16 (Locks.Spin_budget.spins b);
-  check_string "pure spin" "pure spin" (Locks.Spin_budget.mode b)
+  check_bool "changed" true (b.step ~waiting:0 <> None);
+  check_int "at cap" 16 !(b.spins);
+  check_string "pure spin" "pure spin" (mode b)
 
 let test_budget_low_contention_increases () =
   let b = budget () in
-  check_bool "increase" true (Locks.Spin_budget.step b ~waiting:2 = Some 8);
-  check_bool "again" true (Locks.Spin_budget.step b ~waiting:3 = Some 12);
-  check_string "combined" "combined(12)" (Locks.Spin_budget.mode b)
+  check_bool "increase" true (b.step ~waiting:2 = Some "combined(8)");
+  check_bool "again" true (b.step ~waiting:3 = Some "combined(12)");
+  check_string "combined" "combined(12)" (mode b)
 
 let test_budget_high_contention_decreases_to_blocking () =
   let b = budget () in
-  check_bool "minus 2n" true (Locks.Spin_budget.step b ~waiting:10 = Some 0);
-  check_string "pure blocking" "pure blocking" (Locks.Spin_budget.mode b);
-  check_bool "no further change" true (Locks.Spin_budget.step b ~waiting:10 = None)
+  check_bool "minus 2n" true (b.step ~waiting:10 = Some "pure blocking");
+  check_int "at zero" 0 !(b.spins);
+  check_string "pure blocking" "pure blocking" (mode b);
+  check_bool "no further change" true (b.step ~waiting:10 = None)
 
 let test_budget_saturates_at_cap () =
   let b = budget () in
-  ignore (Locks.Spin_budget.step b ~waiting:0);
-  check_bool "no change at cap under low contention" true
-    (Locks.Spin_budget.step b ~waiting:1 = None)
+  ignore (b.step ~waiting:0);
+  check_bool "no change at cap under low contention" true (b.step ~waiting:1 = None)
 
+(* The real lock's apply: the budget lands on its waiting attributes. *)
 let test_budget_apply_sets_attributes () =
   let (_ : Sched.t) =
     run (fun () ->
-        let b = budget () in
-        let w = Locks.Waiting.combined ~spins:4 () in
-        ignore (Locks.Spin_budget.step b ~waiting:0);
-        Locks.Spin_budget.apply b w;
+        let lk = Locks.Adaptive_lock.create ~params:budget_params ~home:0 () in
+        let w =
+          Locks.Lock_core.policy
+            (Locks.Reconfigurable_lock.core (Locks.Adaptive_lock.reconfigurable lk))
+        in
+        let feed waiting =
+          ignore (Adaptive_core.Adaptive.feed (Locks.Adaptive_lock.feedback lk) waiting)
+        in
+        feed 0;
         check_int "spin forever" max_int (Adaptive_core.Attribute.get w.Locks.Waiting.spin_count);
         check_bool "no sleep" false (Adaptive_core.Attribute.get w.Locks.Waiting.sleep);
-        ignore (Locks.Spin_budget.step b ~waiting:10);
-        ignore (Locks.Spin_budget.step b ~waiting:10);
-        Locks.Spin_budget.apply b w;
+        feed 10;
+        feed 10;
+        check_int "budget at pure blocking" 0 (Locks.Adaptive_lock.spins_now lk);
         check_bool "sleep on" true (Adaptive_core.Attribute.get w.Locks.Waiting.sleep))
   in
   ()
 
+(* Every lock built on a compiled spec rejects out-of-range parameters
+   at [create]. *)
 let test_budget_validates () =
-  check_bool "bad n rejected" true
-    (try
-       ignore (Locks.Spin_budget.create ~threshold:1 ~n:0 ~cap:4 ~init:0);
-       false
-     with Invalid_argument _ -> true)
+  let rejects what f =
+    check_bool what true
+      (try
+         f ();
+         false
+       with Invalid_argument _ -> true)
+  in
+  let (_ : Sched.t) =
+    run (fun () ->
+        let module AL = Locks.Adaptive_lock in
+        let bad_params =
+          [
+            ("threshold < 0", { AL.default_params with waiting_threshold = -1 });
+            ("n = 0", { AL.default_params with n = 0 });
+            ("spin_cap = 0", { AL.default_params with spin_cap = 0 });
+          ]
+        in
+        List.iter
+          (fun (what, params) ->
+            rejects ("adaptive " ^ what) (fun () -> ignore (AL.create ~params ~home:0 ()));
+            rejects ("loose " ^ what) (fun () ->
+                ignore (Monitoring.Loose_adaptive_lock.create ~params ~home:0 ~monitor_proc:3 ())))
+          bad_params;
+        let bad_guards =
+          [
+            ("clamp_max < 0", { AL.default_guardrail with clamp_max = -1 });
+            ("pathological_limit = 0", { AL.default_guardrail with pathological_limit = 0 });
+            ("cooldown < 0", { AL.default_guardrail with cooldown = -1 });
+          ]
+        in
+        List.iter
+          (fun (what, guardrail) ->
+            rejects ("adaptive " ^ what) (fun () -> ignore (AL.create ~guardrail ~home:0 ()));
+            rejects ("switch " ^ what) (fun () ->
+                ignore (Locks.Switch_lock.create ~guardrail ~home:0 ())))
+          bad_guards;
+        (* the defaults themselves are accepted *)
+        ignore (AL.create ~guardrail:AL.default_guardrail ~home:0 ());
+        ignore (Locks.Switch_lock.create ~home:0 ()))
+  in
+  ()
 
 (* Lock stats. *)
 

@@ -173,6 +173,30 @@ let test_loose_adaptive_adapts_with_lag () =
   check_bool "adapted" true (!adaptations >= 1);
   check_bool "with measurable lag" true (!lag > 0)
 
+(* Each loose lock declares its spec under its own name, on its own
+   attribute — two of them must not look like co-writers of one
+   shared attribute. *)
+let test_loose_lock_declares_own_spec () =
+  let specs = ref [] in
+  let (_ : Sched.t) =
+    run (fun () ->
+        let a = Monitoring.Loose_adaptive_lock.create ~name:"a" ~home:0 ~monitor_proc:6 () in
+        let b = Monitoring.Loose_adaptive_lock.create ~name:"b" ~home:1 ~monitor_proc:7 () in
+        specs :=
+          List.filter_map
+            (fun (m : Adaptive_core.Registry.metrics) ->
+              Option.map
+                (fun (s : Adaptive_core.Policy.Spec.t) -> (m.name, s.s_name, s.s_attribute))
+                m.spec)
+            (Adaptive_core.Registry.snapshot ());
+        Monitoring.Loose_adaptive_lock.shutdown a;
+        Monitoring.Loose_adaptive_lock.shutdown b)
+  in
+  Alcotest.(check (list (triple string string string)))
+    "spec name and attribute follow the lock name"
+    [ ("a", "a", "a.waiting-policy"); ("b", "b", "b.waiting-policy") ]
+    !specs
+
 let test_coupling_ablation_shape () =
   let rows = Experiments.Ablations.coupling () in
   check_int "two rows" 2 (List.length rows);
@@ -193,5 +217,7 @@ let suite =
     Alcotest.test_case "loose lock mutual exclusion" `Quick
       test_loose_adaptive_mutual_exclusion;
     Alcotest.test_case "loose lock adapts with lag" `Quick test_loose_adaptive_adapts_with_lag;
+    Alcotest.test_case "loose locks declare their own spec" `Quick
+      test_loose_lock_declares_own_spec;
     Alcotest.test_case "coupling ablation shape" `Quick test_coupling_ablation_shape;
   ]

@@ -1,7 +1,7 @@
 (* Tests of the adaptive-object spine added by the registry PR: the
    per-domain registry (enumeration, subscriptions, driving, JSON
-   determinism), the adaptive barrier/condition/semaphore, the guarded
-   policy combinator, the registry monitor thread, watchdog adaptation
+   determinism), the adaptive barrier/condition/semaphore, the policy
+   guard's streak machine, the registry monitor thread, watchdog adaptation
    tracking, trace adaptation annotations, and the sync-objects
    workload. *)
 
@@ -329,11 +329,7 @@ let test_adaptive_semaphore_budget_adapts () =
   in
   check_bool "uncontended turnover widens the budget" true (!budget > 0)
 
-(* -- guarded policies ---------------------------------------------- *)
-
-let decision_label = function
-  | Policy.No_change -> "none"
-  | Policy.Reconfigure { label; _ } -> label
+(* -- policy guard ---------------------------------------------------- *)
 
 let test_policy_guard_streaks () =
   let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:3 () in
@@ -346,27 +342,6 @@ let test_policy_guard_streaks () =
   (* Cooldown: the next pathological observations must not re-trigger. *)
   check_bool "cooldown suppresses" false (Policy.Guard.note g ~pathological:true);
   check_bool "still suppressed" false (Policy.Guard.note g ~pathological:true)
-
-let test_policy_guarded_combinator () =
-  let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:2 () in
-  let base obs =
-    if obs = 100 then Policy.reconfigure ~label:"cap" (fun () -> ())
-    else Policy.No_change
-  in
-  let p =
-    Policy.guarded ~guard:g
-      ~clamp:(fun obs -> (min obs 100, obs > 100))
-      ~fallback:(fun _ -> Policy.reconfigure ~label:"reset" (fun () -> ()))
-      base
-  in
-  (* First outlier: clamped, base policy sees the sanitized value. *)
-  check_string "clamped to base" "cap" (decision_label (p 500));
-  (* Second consecutive outlier: the guard hands control to fallback. *)
-  check_string "streak falls back" "reset" (decision_label (p 500));
-  check_int "one fallback" 1 (Policy.Guard.fallbacks g);
-  (* Cooldown: outliers are still clamped but cannot re-trigger. *)
-  check_string "cooldown clamps only" "cap" (decision_label (p 500));
-  check_string "benign passes through" "none" (decision_label (p 7))
 
 (* -- registry monitor thread --------------------------------------- *)
 
@@ -468,7 +443,6 @@ let suite =
     Alcotest.test_case "semaphore budget adapts" `Quick
       test_adaptive_semaphore_budget_adapts;
     Alcotest.test_case "guard streaks" `Quick test_policy_guard_streaks;
-    Alcotest.test_case "guarded combinator" `Quick test_policy_guarded_combinator;
     Alcotest.test_case "monitor drives registry" `Quick
       test_monitor_thread_drives_registry;
     Alcotest.test_case "watchdog tracks adaptations" `Quick
