@@ -8,10 +8,11 @@
    simulation events its body executes (deterministic, counted once via
    the domain event odometer) divided by the measured host time. A
    dedicated soak row runs a ~10M-event mixed workload (~1M with
-   --quick) with the fast paths on and off; the ratio is the
-   batching/fusion speedup. With --compare BASELINE.json the run exits
-   non-zero if any benchmark's events/sec fell more than --tolerance
-   (default 15%) below the baseline — the CI bench-compare gate.
+   --quick) accelerated and in the reference per-effect mode; the
+   ratio is the batching/fusion speedup. With --compare BASELINE.json
+   the run exits non-zero if any benchmark's events/sec fell more than
+   --tolerance (default 15%) below the baseline — the CI bench-compare
+   gate.
 
    Run with: dune exec bench/main.exe -- [--csv-dir DIR] [--domains N]
                                          [--quick] [--compare PATH]
@@ -69,12 +70,14 @@ let regenerate_paper () =
   print_endline " Reproduction of every table and figure (simulated virtual time)";
   print_endline "==================================================================\n";
   let n = if !domains > 0 then !domains else Engine.Runner.default_domains () in
-  let comparison, report = Experiments.Perf.compare_report_generation ~domains:n () in
+  let comparison, report, artifacts =
+    Experiments.Perf.compare_report_generation ~domains:n ()
+  in
   print_string report;
-  (* The renderings above skipped CSV output; write the files once. *)
-  Experiments.Report.print_everything
-    ~out:(Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()))
-    ~csv_dir:!csv_dir ~domains:n ();
+  List.iter
+    (fun (a : Experiments.Report.artifact) ->
+      ignore (Fleet.Emit.write_file ~csv_dir:!csv_dir a.name a.payload : string))
+    artifacts;
   Printf.printf
     "report generation: %.2fs at domains=1, %.2fs at domains=%d (%.2fx), output %s\n\n"
     comparison.Experiments.Perf.wall_base_s comparison.Experiments.Perf.wall_parallel_s
@@ -288,9 +291,9 @@ let run_bechamel () =
     micro_benchmarks
 
 (* ------------------------------------------------------------------ *)
-(* Part 3: the event-mill soak — wall-clock events/sec with the fast  *)
-(* paths on (the shipped configuration) and off (the per-effect       *)
-(* execution model this PR replaced), on the same ~10M-event run.     *)
+(* Part 3: the event-mill soak — wall-clock events/sec accelerated    *)
+(* (the shipped configuration) and in the reference per-effect mode,  *)
+(* on the same ~10M-event run.                                        *)
 
 let soak_rows () =
   print_endline "\n==================================================================";
@@ -323,13 +326,10 @@ let soak_rows () =
   in
   Printf.printf "%-45s %15s %8s %12s\n" "benchmark" "ns/run" "r^2" "events/s";
   let fast_res, fast_row = measure (label "") in
-  Butterfly.Sched.set_fast_paths false;
-  Butterfly.Sched.set_op_fusion false;
+  Butterfly.Mstate.set_accelerated false;
   let slow_res, slow_row =
     Fun.protect
-      ~finally:(fun () ->
-        Butterfly.Sched.set_fast_paths true;
-        Butterfly.Sched.set_op_fusion true)
+      ~finally:(fun () -> Butterfly.Mstate.set_accelerated true)
       (fun () -> measure (label " (fast paths off)"))
   in
   let identical =
@@ -389,14 +389,10 @@ let () =
   let micros = run_bechamel () in
   let soak, soak_identical = soak_rows () in
   let micros = micros @ soak in
-  if not (Sys.file_exists !csv_dir) then Sys.mkdir !csv_dir 0o755;
-  let json_path = Filename.concat !csv_dir "BENCH_results.json" in
-  Experiments.Perf.write_json ~path:json_path ~micros ~comparison:(Some comparison) ();
-  Printf.printf "\nbench: done (figure CSVs and BENCH_results.json written to %s/)\n"
-    !csv_dir;
   (* One store record for the whole run: the report-level events/sec
      (what `repro bench --compare` gates on) plus one eps/ metric per
-     micro-benchmark, with the full BENCH json as the payload. *)
+     micro-benchmark, with the full BENCH json as the payload and as
+     BENCH_results.json. *)
   let store =
     if !store_path <> "" then !store_path
     else Fleet.Emit.default_store ~csv_dir:!csv_dir
@@ -414,14 +410,16 @@ let () =
              Some ("eps/" ^ m.Experiments.Perf.bench_name, m.Experiments.Perf.events_per_sec))
          micros
   in
-  let record =
-    Fleet.Store.make ~driver:"bench" ~kind:"BENCH"
+  let (_ : Fleet.Store.record) =
+    Fleet.Emit.artifact ~store ~csv_dir:!csv_dir ~driver:"bench" ~kind:"BENCH"
+      ~legacy:"BENCH_results.json"
       ~config:(if !quick then [ ("quick", "true") ] else [])
       ~metrics
       ~payload:(Experiments.Perf.to_json ~micros ~comparison:(Some comparison) ())
       ()
   in
-  Fleet.Store.append ~path:store [ record ];
+  Printf.printf "\nbench: done (figure CSVs and BENCH_results.json written to %s/)\n"
+    !csv_dir;
   Printf.printf "bench: appended BENCH record to %s\n" store;
   let gate_ok = gate micros in
   if not comparison.Experiments.Perf.identical_output then exit 1;

@@ -58,33 +58,8 @@ let store_path c =
     Fleet.Emit.default_store
       ~csv_dir:(match c.csv_dir with Some d -> d | None -> "results")
 
-(* Legacy artifact file name -> (driver, kind) for records emitted
-   through the Report hooks (the hook only knows the file name). *)
-let classify name =
-  if name = "fig1.csv" then ("fig1", "FIG")
-  else if name = "ABLATION_LOCKS_results.json" then ("ablation-locks", "ABLATION_LOCKS")
-  else if name = "OBJECTS_results.json" then ("objects", "OBJECTS")
-  else if Filename.check_suffix name ".csv" then ("tsp", "FIG")
-  else (Filename.remove_extension name, "MISC")
-
-(* Store-only emit hook for the Report print functions (they write the
-   legacy file themselves). *)
-let report_hook c ~config : Experiments.Report.emit =
- fun ~name ~metrics ~payload ->
-  match c.store with
-  | None -> ()
-  | Some path ->
-    let driver, kind = classify name in
-    let (_ : Fleet.Store.record) =
-      Fleet.Emit.artifact ~store:path ~driver ~kind
-        ~config:(("artifact", name) :: config)
-        ~metrics ~payload ()
-    in
-    ()
-
-(* Store record + legacy file + the "wrote PATH" line the pre-store
-   CLI printed, for subcommands that produce their artifact bytes
-   directly. *)
+(* Store record + legacy file + the "wrote PATH" line, for every
+   artifact a subcommand produces. *)
 let emit_artifact c ~driver ~kind ~legacy ~config ~metrics ~payload =
   let (_ : Fleet.Store.record) =
     Fleet.Emit.artifact ?store:c.store ?csv_dir:c.csv_dir ~driver ~kind ~legacy
@@ -93,3 +68,7 @@ let emit_artifact c ~driver ~kind ~legacy ~config ~metrics ~payload =
   match c.csv_dir with
   | Some dir -> Printf.printf "wrote %s\n" (Filename.concat dir legacy)
   | None -> ()
+
+let emit_report c (a : Experiments.Report.artifact) =
+  emit_artifact c ~driver:a.driver ~kind:a.kind ~legacy:a.name ~config:a.config
+    ~metrics:a.metrics ~payload:a.payload

@@ -46,26 +46,15 @@ let table_cmds =
   ]
 
 let fig1_cmd =
-  let run c =
-    Experiments.Report.print_fig1 ?csv_dir:c.Cli.csv_dir
-      ~emit:(Cli.report_hook c ~config:[]) ()
-  in
+  let run c = Cli.emit_report c (Experiments.Report.print_fig1 ()) in
   Cmd.v (Cmd.info "fig1" ~doc:"Figure 1: critical-section sweep")
     Term.(const run $ Cli.common)
 
 let tsp_cmd =
   let doc = "Tables 1-3 and Figures 4-9 (the TSP evaluation)" in
   let run c searchers cities seed =
-    let config =
-      [
-        ("searchers", string_of_int searchers);
-        ("cities", string_of_int cities);
-        ("seed", string_of_int seed);
-      ]
-    in
-    Experiments.Report.print_tsp ?csv_dir:c.Cli.csv_dir
-      ~emit:(Cli.report_hook c ~config)
-      ~spec:(tsp_spec searchers cities seed) ()
+    List.iter (Cli.emit_report c)
+      (Experiments.Report.print_tsp ~spec:(tsp_spec searchers cities seed) ())
   in
   Cmd.v (Cmd.info "tsp" ~doc)
     Term.(const run $ Cli.common $ searchers $ cities $ instance_seed)
@@ -143,14 +132,8 @@ let ablation_locks_cmd =
      --domains)."
   in
   let run c =
-    let ok =
-      Experiments.Report.print_switch_locks ?csv_dir:c.Cli.csv_dir
-        ~emit:(Cli.report_hook c ~config:[]) ()
-    in
-    (match c.Cli.csv_dir with
-    | Some dir ->
-      Printf.printf "wrote %s\n" (Filename.concat dir "ABLATION_LOCKS_results.json")
-    | None -> ());
+    let ok, artifact = Experiments.Report.print_switch_locks () in
+    Cli.emit_report c artifact;
     if not ok then exit 1
   in
   Cmd.v (Cmd.info "ablation-locks" ~doc) Term.(const run $ Cli.common)
@@ -163,21 +146,11 @@ let objects_cmd =
      --csv-dir, also writes OBJECTS_results.json (byte-identical at any --domains). \
      With --only, restricts the dump to the object with that registry name."
   in
-  let run c only =
-    let config = match only with None -> [] | Some o -> [ ("only", o) ] in
-    Experiments.Report.print_objects ?csv_dir:c.Cli.csv_dir
-      ~emit:(Cli.report_hook c ~config) ?only ();
-    match c.Cli.csv_dir with
-    | Some dir -> Printf.printf "wrote %s\n" (Filename.concat dir "OBJECTS_results.json")
-    | None -> ()
-  in
+  let run c only = Cli.emit_report c (Experiments.Report.print_objects ?only ()) in
   Cmd.v (Cmd.info "objects" ~doc) Term.(const run $ Cli.common $ Cli.only)
 
 let all_cmd =
-  let run c =
-    Experiments.Report.print_everything ?csv_dir:c.Cli.csv_dir
-      ~emit:(Cli.report_hook c ~config:[]) ()
-  in
+  let run c = List.iter (Cli.emit_report c) (Experiments.Report.print_everything ()) in
   Cmd.v
     (Cmd.info "all" ~doc:"Every table, figure and ablation in paper order")
     Term.(const run $ Cli.common)
@@ -205,7 +178,9 @@ let bench_cmd =
   in
   let run c compare_to tolerance =
     let n = Engine.Runner.default_domains () in
-    let comparison, _report = Experiments.Perf.compare_report_generation ~domains:n () in
+    let comparison, _report, _artifacts =
+      Experiments.Perf.compare_report_generation ~domains:n ()
+    in
     Printf.printf
       "report generation: %.2fs at domains=1, %.2fs at domains=%d (%.2fx), output %s\n"
       comparison.Experiments.Perf.wall_base_s comparison.Experiments.Perf.wall_parallel_s
@@ -633,18 +608,19 @@ let chaos_cmd =
       ~payload:(Chaos.to_json results);
     (match c.Cli.csv_dir with
     | Some dir when failing <> [] ->
-      let path = Filename.concat dir "CHAOS_failing_plans.txt" in
-      let oc = open_out path in
-      List.iter
-        (fun r ->
-          Printf.fprintf oc "%s seed=%d plan=%s%s\n" r.Chaos.scenario r.Chaos.seed
-            r.Chaos.plan
-            (match r.Chaos.pinned_schedule with
-            | None -> ""
-            | Some s -> " schedule=" ^ s))
-        failing;
-      close_out oc;
-      Printf.printf "wrote %s\n" path
+      let plans =
+        String.concat ""
+          (List.map
+             (fun r ->
+               Printf.sprintf "%s seed=%d plan=%s%s\n" r.Chaos.scenario r.Chaos.seed
+                 r.Chaos.plan
+                 (match r.Chaos.pinned_schedule with
+                 | None -> ""
+                 | Some s -> " schedule=" ^ s))
+             failing)
+      in
+      Printf.printf "wrote %s\n"
+        (Fleet.Emit.write_file ~csv_dir:dir "CHAOS_failing_plans.txt" plans)
     | _ -> ());
     if failing <> [] then exit 1
   in

@@ -642,36 +642,16 @@ let check_fixture ~name ~expect specs =
 
 (* ---- deterministic JSON (hand-rolled, like Analysis_suite) ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string_list l =
-  "["
-  ^ String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l)
-  ^ "]"
-
 let finding_json f =
   Printf.sprintf
     "{ \"kind\": \"%s\", \"spec\": \"%s\", \"configs\": %s, \"region\": %s, \
      \"message\": \"%s\" }"
-    (json_escape f.f_kind) (json_escape f.f_spec)
-    (json_string_list f.f_configs)
+    (Engine.Json.escape f.f_kind) (Engine.Json.escape f.f_spec)
+    (Engine.Json.string_list f.f_configs)
     (match f.f_region with
     | None -> "null"
-    | Some r -> Printf.sprintf "\"%s\"" (json_escape r))
-    (json_escape f.f_message)
+    | Some r -> Engine.Json.quote r)
+    (Engine.Json.escape f.f_message)
 
 let findings_json fs =
   "[" ^ String.concat ", " (List.map finding_json fs) ^ "]"
@@ -679,10 +659,10 @@ let findings_json fs =
 let spec_report_json r =
   String.concat ",\n"
     [
-      Printf.sprintf "      \"spec\": \"%s\"" (json_escape r.sr_name);
-      Printf.sprintf "      \"kind\": \"%s\"" (json_escape r.sr_kind);
-      Printf.sprintf "      \"attribute\": \"%s\"" (json_escape r.sr_attribute);
-      Printf.sprintf "      \"metric\": \"%s\"" (json_escape r.sr_metric);
+      Printf.sprintf "      \"spec\": %s" (Engine.Json.quote r.sr_name);
+      Printf.sprintf "      \"kind\": %s" (Engine.Json.quote r.sr_kind);
+      Printf.sprintf "      \"attribute\": %s" (Engine.Json.quote r.sr_attribute);
+      Printf.sprintf "      \"metric\": %s" (Engine.Json.quote r.sr_metric);
       Printf.sprintf "      \"configs\": %d" r.sr_configs;
       Printf.sprintf "      \"transitions\": %d" r.sr_transitions;
       Printf.sprintf "      \"findings\": %s" (findings_json r.sr_findings);
@@ -691,10 +671,10 @@ let spec_report_json r =
 let fixture_json x =
   String.concat ",\n"
     [
-      Printf.sprintf "      \"fixture\": \"%s\"" (json_escape x.x_name);
-      Printf.sprintf "      \"expected\": %s" (json_string_list x.x_expected);
-      Printf.sprintf "      \"found\": %s" (json_string_list x.x_found);
-      Printf.sprintf "      \"missing\": %s" (json_string_list x.x_missing);
+      Printf.sprintf "      \"fixture\": %s" (Engine.Json.quote x.x_name);
+      Printf.sprintf "      \"expected\": %s" (Engine.Json.string_list x.x_expected);
+      Printf.sprintf "      \"found\": %s" (Engine.Json.string_list x.x_found);
+      Printf.sprintf "      \"missing\": %s" (Engine.Json.string_list x.x_missing);
       Printf.sprintf "      \"findings\": %s" (findings_json x.x_findings);
     ]
 

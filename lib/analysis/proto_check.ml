@@ -304,39 +304,21 @@ type lowering = {
 
 (* -- deterministic JSON -- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string_list l =
-  "[" ^ String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l) ^ "]"
-
 let verdict_json = function
   | Holds -> "\"holds\""
   | Out_of_bounds -> "\"out-of-bounds\""
   | Violated cex ->
     Printf.sprintf
       "{ \"violated\": { \"why\": \"%s\", \"state\": \"%s\", \"trace\": %s } }"
-      (json_escape cex.x_why) (json_escape cex.x_state)
-      (json_string_list (List.map (fun (r, l) -> (if r = "" then "" else r ^ ":") ^ l) cex.x_steps))
+      (Engine.Json.escape cex.x_why) (Engine.Json.escape cex.x_state)
+      (Engine.Json.string_list (List.map (fun (r, l) -> (if r = "" then "" else r ^ ":") ^ l) cex.x_steps))
 
 let report_json indent r =
   let pad = String.make indent ' ' in
   String.concat ",\n"
-    [ Printf.sprintf "%s\"model\": \"%s\"" pad (json_escape r.r_model);
-      Printf.sprintf "%s\"property\": \"%s\"" pad (json_escape r.r_property);
-      Printf.sprintf "%s\"desc\": \"%s\"" pad (json_escape r.r_desc);
+    [ Printf.sprintf "%s\"model\": %s" pad (Engine.Json.quote r.r_model);
+      Printf.sprintf "%s\"property\": %s" pad (Engine.Json.quote r.r_property);
+      Printf.sprintf "%s\"desc\": %s" pad (Engine.Json.quote r.r_desc);
       Printf.sprintf "%s\"states\": %d" pad r.r_states;
       Printf.sprintf "%s\"edges\": %d" pad r.r_edges;
       Printf.sprintf "%s\"verdict\": %s" pad (verdict_json r.r_verdict) ]
@@ -359,10 +341,10 @@ let to_json ~shipped ~fixtures ~lowered =
           (fun f ->
             String.concat "\n"
               [ "      {";
-                Printf.sprintf "        \"fixture\": \"%s\"," (json_escape f.f_name);
-                Printf.sprintf "        \"expect\": %s," (json_string_list f.f_expect);
-                Printf.sprintf "        \"found\": %s," (json_string_list f.f_found);
-                Printf.sprintf "        \"missing\": %s," (json_string_list f.f_missing);
+                Printf.sprintf "        \"fixture\": %s," (Engine.Json.quote f.f_name);
+                Printf.sprintf "        \"expect\": %s," (Engine.Json.string_list f.f_expect);
+                Printf.sprintf "        \"found\": %s," (Engine.Json.string_list f.f_found);
+                Printf.sprintf "        \"missing\": %s," (Engine.Json.string_list f.f_missing);
                 "        \"properties\": [";
                 String.concat ",\n"
                   (List.map (fun r -> "          {\n" ^ report_json 12 r ^ "\n          }")
@@ -377,9 +359,9 @@ let to_json ~shipped ~fixtures ~lowered =
           (fun l ->
             String.concat "\n"
               [ "      {";
-                Printf.sprintf "        \"fixture\": \"%s\"," (json_escape l.l_fixture);
-                Printf.sprintf "        \"scenario\": \"%s\"," (json_escape l.l_scenario);
-                Printf.sprintf "        \"rule\": \"%s\"," (json_escape l.l_rule);
+                Printf.sprintf "        \"fixture\": %s," (Engine.Json.quote l.l_fixture);
+                Printf.sprintf "        \"scenario\": %s," (Engine.Json.quote l.l_scenario);
+                Printf.sprintf "        \"rule\": %s," (Engine.Json.quote l.l_rule);
                 Printf.sprintf "        \"confirmed\": %b," l.l_confirmed;
                 Printf.sprintf "        \"replay_ok\": %b," l.l_replay_ok;
                 Printf.sprintf "        \"schedule_len\": %d" l.l_schedule_len;

@@ -642,48 +642,28 @@ let run_all ?domains ?(predict = false) ?(confirm = false) scenarios =
 (* -- JSON rendering, hand-rolled like Chaos.to_json: deterministic
    bytes, no host state -- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string_list l =
-  "["
-  ^ String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l)
-  ^ "]"
-
 let json_int_list l = "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
 
 let prediction_json p =
   Printf.sprintf
     "{ \"rule\": \"%s\", \"status\": %s, \"description\": \"%s\", \
      \"replay_schedule\": %s }"
-    (json_escape p.p_rule)
+    (Engine.Json.escape p.p_rule)
     (match p.p_status with
     | None -> "null"
-    | Some s -> Printf.sprintf "\"%s\"" (json_escape s))
-    (json_escape p.p_description)
+    | Some s -> Engine.Json.quote s)
+    (Engine.Json.escape p.p_description)
     (json_int_list p.p_schedule)
 
 let result_json r =
   String.concat ",\n"
     [
-      Printf.sprintf "      \"scenario\": \"%s\"" (json_escape r.r_name);
-      Printf.sprintf "      \"summary\": \"%s\"" (json_escape r.r_summary);
-      Printf.sprintf "      \"diagnostics\": %s" (json_string_list r.r_diags);
+      Printf.sprintf "      \"scenario\": %s" (Engine.Json.quote r.r_name);
+      Printf.sprintf "      \"summary\": %s" (Engine.Json.quote r.r_summary);
+      Printf.sprintf "      \"diagnostics\": %s" (Engine.Json.string_list r.r_diags);
       Printf.sprintf "      \"predictions\": [%s]"
         (String.concat ", " (List.map prediction_json r.r_predictions));
-      Printf.sprintf "      \"failures\": %s" (json_string_list r.r_failures);
+      Printf.sprintf "      \"failures\": %s" (Engine.Json.string_list r.r_failures);
     ]
 
 let to_json results =

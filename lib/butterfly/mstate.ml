@@ -126,16 +126,13 @@ let swap_in st =
   prev
 let restore st = Domain.DLS.set current st
 
-(* Global kill switches, for A/B determinism tests and benchmarks.
-   [fast_paths]: may a dispatch slice enter fast mode at all (checked
-   once per dispatch). [op_fusion]: may the fused [Ops] wrappers use
-   their single-effect encoding (checked per call). Both default on;
-   turning either off must not change any simulated outcome — the
-   determinism suite asserts exactly that. *)
-let fast_paths : bool Atomic.t = Atomic.make true
-let op_fusion : bool Atomic.t = Atomic.make true
+(* The global execution mode, for A/B determinism tests and
+   benchmarks. Accelerated: a dispatch slice may enter fast mode
+   (checked once per dispatch) and the fused [Ops] wrappers may use
+   their single-effect encoding (checked per call). Off: the reference
+   per-effect model. Switching must not change any simulated outcome;
+   the determinism suite asserts exactly that. *)
+let accelerated_mode : bool Atomic.t = Atomic.make true
 
-let set_fast_paths b = Atomic.set fast_paths b
-let fast_paths_enabled () = Atomic.get fast_paths
-let set_op_fusion b = Atomic.set op_fusion b
-let op_fusion_enabled () = Atomic.get op_fusion
+let set_accelerated b = Atomic.set accelerated_mode b
+let accelerated () = Atomic.get accelerated_mode

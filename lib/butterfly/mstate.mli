@@ -5,8 +5,8 @@
     {!current} binding is how [Ops]'s zero-effect fast paths find the
     machine whose dispatch slice is executing. This module is
     plumbing between the two; simulated code and experiment drivers
-    never touch it directly — the public switches are re-exported as
-    [Sched.set_fast_paths] and [Sched.set_op_fusion]. *)
+    never touch it directly, apart from the execution-mode switch
+    {!set_accelerated}. *)
 
 (** Thread status codes for the [status] array. *)
 
@@ -61,15 +61,12 @@ val swap_in : t -> t
 
 val restore : t -> unit
 
-val set_fast_paths : bool -> unit
-(** Allow/forbid dispatch slices to enter fast mode (default on).
-    Purely a performance switch: outcomes are bit-identical either
-    way. *)
+val set_accelerated : bool -> unit
+(** Choose the execution mode for every machine on every domain.
+    Accelerated ([true], the default): dispatch slices may enter fast
+    mode, and the fused [Ops] wrappers encode a spin iteration as one
+    effect. Reference ([false]): one effect per component operation,
+    the oracle the determinism tests compare against. Purely a
+    performance switch: outcomes are bit-identical either way. *)
 
-val fast_paths_enabled : unit -> bool
-
-val set_op_fusion : bool -> unit
-(** Allow/forbid the fused [Ops] wrappers' single-effect encoding
-    (default on). Purely a performance switch. *)
-
-val op_fusion_enabled : unit -> bool
+val accelerated : unit -> bool

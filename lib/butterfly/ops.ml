@@ -217,14 +217,14 @@ let trace msg = Effect.perform (E_trace msg)
    read [a], and charge a [gap_ns] wait when the value still equals
    [expect].
 
-   In fast mode (or with fusion disabled) both decompose into the
+   In fast mode (or in the reference mode) both decompose into the
    component wrappers above, which is the defining sequence — so the
    fused encoding is unobservable by construction, and toggling
-   [Mstate.set_op_fusion] must never change a simulated outcome. *)
+   [Mstate.set_accelerated] must never change a simulated outcome. *)
 
 let lock_probe_timed ?(pre_instrs = 0) ?(retry_instrs = 0) ?(gap_ns = 0) ~until a =
   let st = Mstate.get () in
-  if (not st.Mstate.fast) && Mstate.op_fusion_enabled () then
+  if (not st.Mstate.fast) && Mstate.accelerated () then
     Effect.perform (E_lock_probe (a, pre_instrs, retry_instrs, gap_ns, until))
   else begin
     work_instrs pre_instrs;
@@ -244,7 +244,7 @@ let read_hint ?(pre_ns = 0) ?(gap_ns = 0) ~expect a =
   let st = Mstate.get () in
   if (not st.Mstate.fast)
      && (pre_ns > 0 || gap_ns > 0)
-     && Mstate.op_fusion_enabled ()
+     && Mstate.accelerated ()
   then Effect.perform (E_read_hint (a, pre_ns, gap_ns, expect))
   else begin
     work pre_ns;

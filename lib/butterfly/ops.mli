@@ -132,7 +132,7 @@ val now : unit -> int
 
     One spin-loop iteration as a single effect. Semantically these are
     {e exactly} their decomposed sequences (which is what they execute
-    in fast mode or with fusion disabled — see [Sched.set_op_fusion]);
+    in fast mode or in the reference mode — see [Mstate.set_accelerated]);
     the fused encoding only cuts the number of continuation captures
     per iteration from up to four to one. *)
 

@@ -226,13 +226,6 @@ let runq_length t pid =
   Engine.Pqueue.size p.runq + if p.cont != no_thread then 1 else 0
 let live_threads t = t.live
 
-(* Fast-path switches, re-exported from the state module so experiment
-   drivers only ever talk to [Sched]. *)
-let set_fast_paths = Mstate.set_fast_paths
-let fast_paths_enabled = Mstate.fast_paths_enabled
-let set_op_fusion = Mstate.set_op_fusion
-let op_fusion_enabled = Mstate.op_fusion_enabled
-
 (* Cumulative simulated-event odometer per domain: every [run] that
    completes (or aborts) on this domain adds its machine's final event
    count. Benchmarks read the delta around a measured body to convert
@@ -886,7 +879,7 @@ let other_procs_idle t p =
   go 0
 
 let slice_fast_ok t p =
-  Mstate.fast_paths_enabled ()
+  Mstate.accelerated ()
   && (match t.event_hooks with [] -> true | _ -> false)
   && (match t.access_hooks with [] -> true | _ -> false)
   && (match t.annot_hooks with [] -> true | _ -> false)

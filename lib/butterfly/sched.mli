@@ -142,29 +142,13 @@ val events_executed : t -> int
     counter reports and [max_events] bounds. Valid during and after the
     run. *)
 
-(** {1 Performance switches}
-
-    Two purely-mechanical switches over how the scheduler executes —
-    never over what it computes. Toggling either must not change any
-    simulated outcome (final times, counters, schedules, diagnostics);
-    the determinism test suite asserts exactly that. Both default on. *)
-
-val set_fast_paths : bool -> unit
-(** Allow dispatch slices to charge eligible operations directly on
-    flat machine state instead of performing an effect per operation.
-    A slice is eligible only when nothing can observe or perturb the
-    machine mid-slice: no instrumentation subscriber, no pending fault
-    timer or abort, no schedule control, and every other processor
-    idle. Global (all machines, all domains). *)
-
-val fast_paths_enabled : unit -> bool
-
-val set_op_fusion : bool -> unit
-(** Allow the fused [Ops] wrappers ([Ops.lock_probe],
-    [Ops.read_hint]) to encode a spin iteration as a single staged
-    effect instead of one effect per component. Global. *)
-
-val op_fusion_enabled : unit -> bool
+(** Execution mode: the one performance switch is
+    {!Mstate.set_accelerated}. Accelerated (the default), a dispatch
+    slice charges eligible operations directly on flat machine state
+    instead of performing an effect per operation. A slice is eligible
+    only when nothing can observe or perturb the machine mid-slice: no
+    instrumentation subscriber, no pending fault timer or abort, no
+    schedule control, and every other processor idle. *)
 
 val domain_events_total : unit -> int
 (** Cumulative {!events_executed} over every run completed on the

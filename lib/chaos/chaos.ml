@@ -185,40 +185,23 @@ let sweep ?domains ?horizon_ns ?swap_faults ~seeds ~scenarios () =
 (* -- JSON rendering (hand-rolled like Experiments.Perf: no host state,
    no wall-clock, deterministic bytes) -- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string_list l =
-  "[" ^ String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l) ^ "]"
-
 let json_opt = function
   | None -> "null"
-  | Some s -> Printf.sprintf "\"%s\"" (json_escape s)
+  | Some s -> Engine.Json.quote s
 
 let result_json r =
   String.concat ",\n"
     [
-      Printf.sprintf "      \"scenario\": \"%s\"" (json_escape r.scenario);
+      Printf.sprintf "      \"scenario\": %s" (Engine.Json.quote r.scenario);
       Printf.sprintf "      \"seed\": %d" r.seed;
-      Printf.sprintf "      \"plan\": \"%s\"" (json_escape r.plan);
-      Printf.sprintf "      \"injected\": %s" (json_string_list r.injected);
-      Printf.sprintf "      \"outcome\": \"%s\"" (json_escape r.outcome);
+      Printf.sprintf "      \"plan\": %s" (Engine.Json.quote r.plan);
+      Printf.sprintf "      \"injected\": %s" (Engine.Json.string_list r.injected);
+      Printf.sprintf "      \"outcome\": %s" (Engine.Json.quote r.outcome);
       Printf.sprintf "      \"abort_reason\": %s" (json_opt r.abort_reason);
       Printf.sprintf "      \"diagnostics\": %s" (json_opt r.diagnostics);
-      Printf.sprintf "      \"sanitizer_diags\": %s" (json_string_list r.sanitizer_diags);
+      Printf.sprintf "      \"sanitizer_diags\": %s" (Engine.Json.string_list r.sanitizer_diags);
       Printf.sprintf "      \"invariant_failures\": %s"
-        (json_string_list r.invariant_failures);
+        (Engine.Json.string_list r.invariant_failures);
       Printf.sprintf "      \"final_time_ns\": %d" r.final_time_ns;
       Printf.sprintf "      \"events\": %d" r.events;
       Printf.sprintf "      \"accesses\": %d" r.accesses;

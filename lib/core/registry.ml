@@ -101,33 +101,19 @@ let drive_all () =
 (* -- deterministic JSON (hand-rolled, like Chaos.to_json: stable
    bytes, no host state) -- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let metrics_json m =
   let log =
     String.concat ", "
       (List.map
          (fun (t, label) ->
-           Printf.sprintf "{ \"t\": %d, \"label\": \"%s\" }" t (json_escape label))
+           Printf.sprintf "{ \"t\": %d, \"label\": %s }" t (Engine.Json.quote label))
          m.stats.log)
   in
   String.concat ",\n"
     [
       Printf.sprintf "      \"id\": %d" m.id;
-      Printf.sprintf "      \"name\": \"%s\"" (json_escape m.name);
-      Printf.sprintf "      \"kind\": \"%s\"" (json_escape m.kind);
+      Printf.sprintf "      \"name\": %s" (Engine.Json.quote m.name);
+      Printf.sprintf "      \"kind\": %s" (Engine.Json.quote m.kind);
       Printf.sprintf "      \"samples\": %d" m.stats.samples;
       Printf.sprintf "      \"policy_runs\": %d" m.stats.policy_runs;
       Printf.sprintf "      \"adaptations\": %d" m.stats.adaptations;
@@ -138,7 +124,7 @@ let metrics_json m =
       Printf.sprintf "      \"last_label\": %s"
         (match m.stats.last_label with
         | None -> "null"
-        | Some l -> Printf.sprintf "\"%s\"" (json_escape l));
+        | Some l -> Engine.Json.quote l);
       Printf.sprintf "      \"log\": [%s]" log;
       Printf.sprintf "      \"policy_valid\": %s"
         (match validate_log m with
@@ -147,7 +133,7 @@ let metrics_json m =
         | Some (Error _) -> "false");
       Printf.sprintf "      \"policy_violation\": %s"
         (match validate_log m with
-        | Some (Error why) -> Printf.sprintf "\"%s\"" (json_escape why)
+        | Some (Error why) -> Engine.Json.quote why
         | None | Some (Ok ()) -> "null");
     ]
 

@@ -23,9 +23,9 @@ let wall_clock_s f =
 let render_report ~domains () =
   let buf = Buffer.create (1 lsl 16) in
   let out = Format.formatter_of_buffer buf in
-  Report.print_everything ~out ~domains ();
+  let artifacts = Report.print_everything ~out ~domains () in
   Format.pp_print_flush out ();
-  Buffer.contents buf
+  (Buffer.contents buf, artifacts)
 
 let compare_report_generation ?(domains = Engine.Runner.default_domains ()) () =
   (* The sequential leg runs entirely on the calling domain, so the
@@ -34,7 +34,9 @@ let compare_report_generation ?(domains = Engine.Runner.default_domains ()) () =
      report-level events/sec metric the store-backed bench gate
      tracks. *)
   let events0 = Butterfly.Sched.domain_events_total () in
-  let base_out, wall_base_s = wall_clock_s (render_report ~domains:1) in
+  let ((report, artifacts) as base_out), wall_base_s =
+    wall_clock_s (render_report ~domains:1)
+  in
   let events_base = float_of_int (Butterfly.Sched.domain_events_total () - events0) in
   let par_out, wall_parallel_s = wall_clock_s (render_report ~domains) in
   ( {
@@ -42,10 +44,12 @@ let compare_report_generation ?(domains = Engine.Runner.default_domains ()) () =
       domains_parallel = domains;
       wall_base_s;
       wall_parallel_s;
-      identical_output = String.equal base_out par_out;
+      (* [compare], not [=]: a nan metric must equal itself. *)
+      identical_output = compare base_out par_out = 0;
       events_base;
     },
-    base_out )
+    report,
+    artifacts )
 
 (* Best-effort commit id: CI exports GITHUB_SHA; locally, follow
    .git/HEAD one level. No git invocation, so this works in a bare
@@ -83,25 +87,12 @@ let git_rev () =
       | Some sha -> sha
       | None -> "unknown"))
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let json_float v = if Float.is_nan v then "null" else Printf.sprintf "%.6g" v
 
 let to_json ~micros ~comparison () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"git_rev\": \"%s\",\n" (json_escape (git_rev ())));
+  Buffer.add_string buf (Printf.sprintf "  \"git_rev\": %s,\n" (Engine.Json.quote (git_rev ())));
   Buffer.add_string buf
     (Printf.sprintf "  \"host_cores\": %d,\n" (Engine.Runner.recommended_domains ()));
   (match comparison with
@@ -130,18 +121,12 @@ let to_json ~micros ~comparison () =
         (Printf.sprintf
            "\n    { \"name\": \"%s\", \"ns_per_run\": %s, \"r_square\": %s, \
             \"events_per_run\": %s, \"events_per_sec\": %s }"
-           (json_escape m.bench_name) (json_float m.ns_per_run) (json_float m.r_square)
+           (Engine.Json.escape m.bench_name) (json_float m.ns_per_run) (json_float m.r_square)
            (json_float m.events_per_run) (json_float m.events_per_sec)))
     micros;
   Buffer.add_string buf (if micros = [] then "]\n" else "\n  ]\n");
   Buffer.add_string buf "}\n";
   Buffer.contents buf
-
-let write_json ~path ~micros ~comparison () =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (to_json ~micros ~comparison ()))
 
 (* ------------------------------------------------------------------ *)
 (* Baseline comparison: the bench-compare CI gate.                    *)

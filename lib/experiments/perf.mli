@@ -26,8 +26,9 @@ type comparison = {
   wall_base_s : float;  (** full report generation at [domains=1] *)
   wall_parallel_s : float;  (** same at [domains_parallel] *)
   identical_output : bool;
-      (** whether both renderings produced the same bytes — must be
-          [true]; anything else is a determinism bug in the runner *)
+      (** whether both renderings produced the same text and the same
+          artifacts — must be [true]; anything else is a determinism
+          bug in the runner *)
   events_base : float;
       (** simulation events executed by the sequential leg — a
           deterministic count, so [events_base /. wall_base_s] is the
@@ -37,15 +38,17 @@ type comparison = {
 val wall_clock_s : (unit -> 'a) -> 'a * float
 (** Run a thunk and return its result and wall-clock duration. *)
 
-val render_report : domains:int -> unit -> string
-(** The full {!Report.print_everything} output rendered to a string
-    (no CSV side effects). *)
+val render_report : domains:int -> unit -> string * Report.artifact list
+(** The full {!Report.print_everything} output rendered to a string,
+    with the artifacts it returned. *)
 
-val compare_report_generation : ?domains:int -> unit -> comparison * string
+val compare_report_generation :
+  ?domains:int -> unit -> comparison * string * Report.artifact list
 (** Generate the full report at [domains=1] and at [domains] (default
-    {!Engine.Runner.default_domains}), compare wall-clock and output
-    bytes. Also returns the rendered report (from the sequential run)
-    so callers can print it without paying for a third generation. *)
+    {!Engine.Runner.default_domains}), compare wall-clock, output bytes
+    and artifacts. Also returns the rendered report and the artifacts
+    of the sequential run, so callers can print and write them without
+    paying for a third generation. *)
 
 val git_rev : unit -> string
 (** Commit id, best effort: [GITHUB_SHA] when set (CI), else one-level
@@ -55,9 +58,6 @@ val to_json : micros:micro list -> comparison:comparison option -> unit -> strin
 (** The [BENCH_results.json] document: git rev, host core count, the
     report-generation wall-clock comparison, and one entry per
     micro-benchmark. *)
-
-val write_json :
-  path:string -> micros:micro list -> comparison:comparison option -> unit -> unit
 
 (** {1 The bench-compare gate} *)
 

@@ -51,35 +51,22 @@ let print_table8 ?(out = std) () =
   print_lock_table out ~title:"Table 8: cost of lock configuration operations"
     ~paper:Paper.table8 (Lock_tables.table8 ())
 
-let with_csv csv_dir name f =
-  match csv_dir with
-  | None -> ()
-  | Some dir ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let path = Filename.concat dir name in
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
+type artifact = {
+  name : string;
+  driver : string;
+  kind : string;
+  config : (string * string) list;
+  metrics : (string * float) list;
+  payload : string;
+}
 
-type emit = name:string -> metrics:(string * float) list -> payload:string -> unit
+(* Every artifact names its file, its store driver and kind, and opens
+   its config with [("artifact", name)], so records of one driver that
+   produces several files stay apart in the store. *)
+let artifact ~name ~driver ~kind ?(config = []) ~metrics payload =
+  { name; driver; kind; config = ("artifact", name) :: config; metrics; payload }
 
-(* Every artifact-producing section funnels through [deliver]: the
-   legacy file under --csv-dir is written from the exact payload bytes,
-   and the same bytes (plus a flat metric projection) are handed to the
-   caller's [emit] hook — the repro CLI points that hook at the
-   experiment-fleet store, so store records and legacy artifacts can
-   never drift apart. *)
-let deliver ?csv_dir ?emit ~name ~metrics payload =
-  with_csv csv_dir name (fun oc -> output_string oc payload);
-  match emit with
-  | None -> ()
-  | Some f -> f ~name ~metrics ~payload
-
-let print_fig1 ?(out = std) ?csv_dir ?emit ?domains () =
-  let curves = Fig1.run ?domains () in
-  Format.fprintf out
-    "Figure 1: critical-section length vs application execution time@.%s@."
-    (Fig1.to_plot curves);
-  Format.fprintf out "Claims check:@.%s@." (Fig1.crossover_summary curves);
+let fig1_artifact curves =
   let metrics =
     List.concat_map
       (fun (c : Fig1.curve) ->
@@ -91,7 +78,15 @@ let print_fig1 ?(out = std) ?csv_dir ?emit ?domains () =
           c.Fig1.points)
       curves
   in
-  deliver ?csv_dir ?emit ~name:"fig1.csv" ~metrics (Fig1.csv_string curves)
+  artifact ~name:"fig1.csv" ~driver:"fig1" ~kind:"FIG" ~metrics (Fig1.csv_string curves)
+
+let print_fig1 ?(out = std) ?domains () =
+  let curves = Fig1.run ?domains () in
+  Format.fprintf out
+    "Figure 1: critical-section length vs application execution time@.%s@."
+    (Fig1.to_plot curves);
+  Format.fprintf out "Claims check:@.%s@." (Fig1.crossover_summary curves);
+  fig1_artifact curves
 
 let tsp_table_title = function
   | Tsp.Parallel.Centralized -> "Table 1: centralized implementation"
@@ -136,7 +131,28 @@ let print_tsp_table out (row : Tsp_experiments.table) =
   Format.fprintf out "%s@."
     (Repro_stats.Table.render ~title:(tsp_table_title row.Tsp_experiments.impl) tbl)
 
-let print_tsp ?(out = std) ?csv_dir ?emit ?spec ?domains () =
+let figure_artifact ?spec number series =
+  let config =
+    match spec with
+    | None -> []
+    | Some (sp : Tsp.Parallel.spec) ->
+      [
+        ("searchers", string_of_int sp.Tsp.Parallel.searchers);
+        ("cities", string_of_int sp.Tsp.Parallel.cities);
+        ("seed", string_of_int sp.Tsp.Parallel.instance_seed);
+      ]
+  in
+  let stat = function Some v -> v | None -> 0.0 in
+  artifact ~name:(Printf.sprintf "fig%d.csv" number) ~driver:"tsp" ~kind:"FIG" ~config
+    ~metrics:
+      [
+        ("peak_waiting", stat (Engine.Series.max_value series));
+        ("mean_waiting", stat (Engine.Series.time_weighted_mean series));
+        ("samples", float_of_int (Engine.Series.length series));
+      ]
+    (Engine.Series.csv_string [ series ])
+
+let print_tsp ?(out = std) ?spec ?domains () =
   let t = Tsp_experiments.run_all ?spec ?domains () in
   Format.fprintf out
     "TSP setup: %d cities (seed %d), %d searchers, optimum %d, sequential expanded %d \
@@ -162,31 +178,22 @@ let print_tsp ?(out = std) ?csv_dir ?emit ?spec ?domains () =
         [ "qlock"; "glob-act-lock" ])
     t.Tsp_experiments.tables;
   Format.fprintf out "@.";
-  List.iter
+  List.filter_map
     (fun (number, impl, lock) ->
       match Tsp_experiments.figure t ~impl ~lock with
-      | None -> Format.fprintf out "Figure %d: (no trace recorded)@." number
+      | None ->
+        Format.fprintf out "Figure %d: (no trace recorded)@." number;
+        None
       | Some series ->
         Format.fprintf out "Figure %d: %s@.%s@." number
           (Tsp_experiments.figure_description ~impl ~lock)
           (Repro_stats.Plot.series series);
-        let waiting_max =
-          match Engine.Series.max_value series with Some v -> v | None -> 0.0
-        in
-        let waiting_mean =
-          match Engine.Series.time_weighted_mean series with Some v -> v | None -> 0.0
-        in
+        let a = figure_artifact ?spec number series in
         Format.fprintf out "  peak waiting=%.0f, time-weighted mean=%.2f, samples=%d@.@."
-          waiting_max waiting_mean (Engine.Series.length series);
-        deliver ?csv_dir ?emit
-          ~name:(Printf.sprintf "fig%d.csv" number)
-          ~metrics:
-            [
-              ("peak_waiting", waiting_max);
-              ("mean_waiting", waiting_mean);
-              ("samples", float_of_int (Engine.Series.length series));
-            ]
-          (Engine.Series.csv_string [ series ]))
+          (List.assoc "peak_waiting" a.metrics)
+          (List.assoc "mean_waiting" a.metrics)
+          (Engine.Series.length series);
+        Some a)
     Tsp_experiments.all_figures
 
 let print_schedulers ?(out = std) ?domains () =
@@ -370,7 +377,57 @@ let print_barriers ?(out = std) ?domains () =
           fixed spin/block)"
        tbl)
 
-let print_switch_locks ?(out = std) ?csv_dir ?emit ?domains () =
+let switch_locks_artifact rows =
+  let violations = Ablations.switch_gate rows in
+  let b = Buffer.create 2048 in
+  Buffer.add_string b "{\n  \"points\": [\n";
+  List.iteri
+    (fun i (label, workers, procs, iters, cs_ns, think_ns) ->
+      Buffer.add_string b
+        (Printf.sprintf
+           "    {\"label\": %s, \"workers\": %d, \"processors\": %d, \
+            \"iterations\": %d, \"cs_ns\": %d, \"think_ns\": %d}%s\n"
+           (Engine.Json.quote label) workers procs iters cs_ns think_ns
+           (if i < List.length Ablations.switch_points - 1 then "," else "")))
+    Ablations.switch_points;
+  Buffer.add_string b "  ],\n  \"rows\": [\n";
+  List.iteri
+    (fun i (r : Ablations.switch_row) ->
+      Buffer.add_string b
+        (Printf.sprintf
+           "    {\"point\": %s, \"variant\": %s, \"total_ns\": %d, \
+            \"mean_wait_us\": %.1f, \"blocks\": %d, \"spin_probes\": %d, \
+            \"swaps\": %d, \"final_impl\": %s}%s\n"
+           (Engine.Json.quote r.Ablations.sw_point)
+           (Engine.Json.quote r.Ablations.sw_variant)
+           r.Ablations.sw_total_ns r.Ablations.sw_mean_wait_us r.Ablations.sw_blocks
+           r.Ablations.sw_spin_probes r.Ablations.sw_swaps
+           (Engine.Json.quote r.Ablations.sw_final_impl)
+           (if i < List.length rows - 1 then "," else "")))
+    rows;
+  Buffer.add_string b "  ],\n";
+  Buffer.add_string b
+    (Printf.sprintf "  \"gate\": {\"slack_pct\": 5.0, \"ok\": %b, \"violations\": %s}\n"
+       (violations = [])
+       (Engine.Json.string_list violations));
+  Buffer.add_string b "}\n";
+  let metrics =
+    ("gate_ok", if violations = [] then 1.0 else 0.0)
+    :: List.concat_map
+         (fun (r : Ablations.switch_row) ->
+           [
+             ( Printf.sprintf "%s/%s/total_ns" r.Ablations.sw_point r.Ablations.sw_variant,
+               float_of_int r.Ablations.sw_total_ns );
+             ( Printf.sprintf "%s/%s/mean_wait_us" r.Ablations.sw_point
+                 r.Ablations.sw_variant,
+               r.Ablations.sw_mean_wait_us );
+           ])
+         rows
+  in
+  artifact ~name:"ABLATION_LOCKS_results.json" ~driver:"ablation-locks"
+    ~kind:"ABLATION_LOCKS" ~metrics (Buffer.contents b)
+
+let print_switch_locks ?(out = std) ?domains () =
   let rows = Ablations.switch_locks ?domains () in
   let tbl =
     Repro_stats.Table.create
@@ -407,57 +464,9 @@ let print_switch_locks ?(out = std) ?csv_dir ?emit ?domains () =
       "gate: adaptive beats the worst pinned variant at every regime and stays within \
        5%% of the best at the extremes@."
   | vs -> List.iter (fun v -> Format.fprintf out "gate VIOLATION: %s@." v) vs);
-  let payload =
-      let b = Buffer.create 2048 in
-      Buffer.add_string b "{\n  \"points\": [\n";
-      List.iteri
-        (fun i (label, workers, procs, iters, cs_ns, think_ns) ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "    {\"label\": %S, \"workers\": %d, \"processors\": %d, \
-                \"iterations\": %d, \"cs_ns\": %d, \"think_ns\": %d}%s\n"
-               label workers procs iters cs_ns think_ns
-               (if i < List.length Ablations.switch_points - 1 then "," else "")))
-        Ablations.switch_points;
-      Buffer.add_string b "  ],\n  \"rows\": [\n";
-      List.iteri
-        (fun i (r : Ablations.switch_row) ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "    {\"point\": %S, \"variant\": %S, \"total_ns\": %d, \
-                \"mean_wait_us\": %.1f, \"blocks\": %d, \"spin_probes\": %d, \
-                \"swaps\": %d, \"final_impl\": %S}%s\n"
-               r.Ablations.sw_point r.Ablations.sw_variant r.Ablations.sw_total_ns
-               r.Ablations.sw_mean_wait_us r.Ablations.sw_blocks
-               r.Ablations.sw_spin_probes r.Ablations.sw_swaps
-               r.Ablations.sw_final_impl
-               (if i < List.length rows - 1 then "," else "")))
-        rows;
-      Buffer.add_string b "  ],\n";
-      Buffer.add_string b
-        (Printf.sprintf "  \"gate\": {\"slack_pct\": 5.0, \"ok\": %b, \"violations\": [%s]}\n"
-           (violations = [])
-           (String.concat ", " (List.map (Printf.sprintf "%S") violations)));
-      Buffer.add_string b "}\n";
-      Buffer.contents b
-  in
-  let metrics =
-    (("gate_ok", if violations = [] then 1.0 else 0.0)
-    :: List.concat_map
-         (fun (r : Ablations.switch_row) ->
-           [
-             ( Printf.sprintf "%s/%s/total_ns" r.Ablations.sw_point r.Ablations.sw_variant,
-               float_of_int r.Ablations.sw_total_ns );
-             ( Printf.sprintf "%s/%s/mean_wait_us" r.Ablations.sw_point
-                 r.Ablations.sw_variant,
-               r.Ablations.sw_mean_wait_us );
-           ])
-         rows)
-  in
-  deliver ?csv_dir ?emit ~name:"ABLATION_LOCKS_results.json" ~metrics payload;
-  violations = []
+  (violations = [], switch_locks_artifact rows)
 
-let print_objects ?(out = std) ?csv_dir ?emit ?only ?domains () =
+let print_objects ?(out = std) ?only ?domains () =
   let r =
     List.hd
       (Engine.Runner.map ?domains
@@ -544,10 +553,12 @@ let print_objects ?(out = std) ?csv_dir ?emit ?only ?domains () =
                m.Adaptive_core.Registry.stats.Adaptive_core.Registry.adaptations ))
          r.Workloads.Sync_objects.snapshot
   in
-  deliver ?csv_dir ?emit ~name:"OBJECTS_results.json" ~metrics
+  artifact ~name:"OBJECTS_results.json" ~driver:"objects" ~kind:"OBJECTS"
+    ~config:(match only with None -> [] | Some o -> [ ("only", o) ])
+    ~metrics
     (Adaptive_core.Registry.to_json r.Workloads.Sync_objects.snapshot)
 
-let print_everything ?(out = std) ?csv_dir ?emit ?domains () =
+let print_everything ?(out = std) ?domains () =
   (* Sections render in paper order; inside each section the
      simulations fan out across domains. Rendering stays on the
      calling domain, so output bytes are independent of [domains]. *)
@@ -558,9 +569,9 @@ let print_everything ?(out = std) ?csv_dir ?emit ?domains () =
   print_table7 ~out ();
   print_table8 ~out ();
   Format.fprintf out "=== Figure 1 ===@.@.";
-  print_fig1 ~out ?csv_dir ?emit ?domains ();
+  let fig1 = print_fig1 ~out ?domains () in
   Format.fprintf out "=== TSP application (Tables 1-3, Figures 4-9) ===@.@.";
-  print_tsp ~out ?csv_dir ?emit ?domains ();
+  let figures = print_tsp ~out ?domains () in
   Format.fprintf out "=== Ablations ===@.@.";
   print_schedulers ~out ?domains ();
   print_coupling ~out ?domains ();
@@ -570,7 +581,7 @@ let print_everything ?(out = std) ?csv_dir ?emit ?domains () =
   print_barriers ~out ?domains ();
   print_advisory ~out ?domains ();
   print_architecture ~out ?domains ();
-  (let (_ : bool) = print_switch_locks ~out ?csv_dir ?emit ?domains () in
-   ());
+  let _gate_ok, locks = print_switch_locks ~out ?domains () in
   Format.fprintf out "=== Adaptive-object registry ===@.@.";
-  print_objects ~out ?csv_dir ?emit ?domains ()
+  let objects = print_objects ~out ?domains () in
+  (fig1 :: figures) @ [ locks; objects ]

@@ -1,4 +1,5 @@
-(** One funnel for every artifact the repro CLI produces.
+(** One funnel for every artifact the repro CLI and the bench harness
+    produce.
 
     [artifact] builds a store record for a finished run and (a)
     appends it to the store when one is configured, (b) writes the
@@ -28,9 +29,12 @@ val artifact :
     legacy file is written. Returns the record (already appended when
     [store] is set). *)
 
-val legacy_path : csv_dir:string -> string -> string
-(** Where [artifact] writes the legacy file: [csv_dir ^ "/" ^ name],
-    creating [csv_dir] as needed (same rule the pre-store CLI used). *)
+val write_file : csv_dir:string -> string -> string -> string
+(** [write_file ~csv_dir name bytes] writes [bytes] to
+    [csv_dir ^ "/" ^ name], creating [csv_dir] as needed, and returns
+    that path. [artifact] writes its legacy file through it; so do the
+    files that have no store record (the bench harness's copies of the
+    report artifacts, [CHAOS_failing_plans.txt]). *)
 
 val default_store : csv_dir:string -> string
 (** The store the CLI uses when [--store] is absent:

@@ -21,22 +21,6 @@ let num_str v =
     let s = Printf.sprintf "%.12g" v in
     if float_of_string s = v then s else Printf.sprintf "%.17g" v
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_string v =
   let buf = Buffer.create 256 in
   let rec go = function
@@ -45,7 +29,7 @@ let to_string v =
     | Num v -> Buffer.add_string buf (num_str v)
     | Str s ->
       Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
+      Buffer.add_string buf (Engine.Json.escape s);
       Buffer.add_char buf '"'
     | Arr xs ->
       Buffer.add_char buf '[';
@@ -61,7 +45,7 @@ let to_string v =
         (fun i (k, x) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
+          Buffer.add_string buf (Engine.Json.escape k);
           Buffer.add_string buf "\":";
           go x)
         kvs;

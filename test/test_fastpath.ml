@@ -1,49 +1,49 @@
 (* The fast-path determinism suite: batched memory charging and op
    fusion are pure host-side accelerations, so every shipped artifact
-   must be byte-identical with them enabled (the default), with fusion
-   alone, and with both disabled. Each test renders one artifact under
-   the three mode combinations and compares the bytes. *)
+   must be byte-identical in the accelerated mode (the default) and in
+   the reference per-effect mode. Each test renders one artifact in
+   both modes and compares the bytes. *)
 
 open Butterfly
 
-let with_modes ~fast ~fusion f =
-  let fast0 = Sched.fast_paths_enabled () in
-  let fusion0 = Sched.op_fusion_enabled () in
-  Sched.set_fast_paths fast;
-  Sched.set_op_fusion fusion;
-  Fun.protect
-    ~finally:(fun () ->
-      Sched.set_fast_paths fast0;
-      Sched.set_op_fusion fusion0)
-    f
+let in_mode accelerated f =
+  let prev = Mstate.accelerated () in
+  Mstate.set_accelerated accelerated;
+  Fun.protect ~finally:(fun () -> Mstate.set_accelerated prev) f
 
-(* Render [render] with both accelerations on (the default), with
-   fusion alone (fused effects through the general dispatcher), and
-   with neither (the fully decomposed legacy path); all three must
-   produce the same bytes. *)
 let ab name render =
-  let accelerated = with_modes ~fast:true ~fusion:true render in
-  let fused_only = with_modes ~fast:false ~fusion:true render in
-  let legacy = with_modes ~fast:false ~fusion:false render in
-  Alcotest.(check string) (name ^ ": accelerated = legacy") legacy accelerated;
-  Alcotest.(check string) (name ^ ": fusion-only = legacy") legacy fused_only
+  let accelerated = in_mode true render in
+  let reference = in_mode false render in
+  Alcotest.(check string) (name ^ ": accelerated = reference") reference accelerated
 
 let take n l = List.filteri (fun i _ -> i < n) l
 
 (* {2 Soak workload} *)
 
-let render_soak spec () =
-  let r = Workloads.Soak.run spec in
-  Printf.sprintf "events=%d final_ns=%d checksum=%d" r.Workloads.Soak.events
-    r.Workloads.Soak.final_ns r.Workloads.Soak.checksum
+(* With [observed], a no-op event subscriber keeps every dispatch slice
+   off the fast path, so the accelerated mode sends its fused effects
+   through the general dispatcher: the third way the soak must agree. *)
+let render_soak ?(observed = false) (spec : Workloads.Soak.spec) () =
+  let sim = Sched.create { Config.default with Config.processors = spec.processors } in
+  if observed then Sched.add_event_hook sim (fun _ -> ());
+  let acc = ref 0 in
+  Sched.run sim (Workloads.Soak.scenario spec ~acc);
+  Printf.sprintf "events=%d final_ns=%d checksum=%d" (Sched.events_executed sim)
+    (Sched.final_time sim) !acc
 
-let test_soak () = ab "soak" (render_soak Workloads.Soak.default)
+let ab_soak name spec =
+  ab name (render_soak spec);
+  Alcotest.(check string)
+    (name ^ ": fused through the dispatcher = reference")
+    (in_mode false (render_soak spec))
+    (in_mode true (render_soak ~observed:true spec))
+
+let test_soak () = ab_soak "soak" Workloads.Soak.default
 
 let test_soak_uniprocessor () =
   (* No phase B: every dispatch is single-runnable, so the accelerated
      run spends its whole life on the fast path. *)
-  ab "soak (uniprocessor)"
-    (render_soak { Workloads.Soak.default with processors = 1; rounds = 8 })
+  ab_soak "soak (uniprocessor)" { Workloads.Soak.default with processors = 1; rounds = 8 }
 
 (* {2 Shipped artifacts} *)
 
@@ -75,17 +75,27 @@ let test_policy () =
 let render_to_buffer print =
   let buf = Buffer.create 4096 in
   let out = Format.formatter_of_buffer buf in
-  print ~out;
+  let result = print ~out in
   Format.pp_print_flush out ();
-  Buffer.contents buf
+  (Buffer.contents buf, result)
 
 let test_objects () =
   ab "OBJECTS report" (fun () ->
-      render_to_buffer (fun ~out -> Experiments.Report.print_objects ~out ~domains:1 ()))
+      let text, (a : Experiments.Report.artifact) =
+        render_to_buffer (fun ~out -> Experiments.Report.print_objects ~out ~domains:1 ())
+      in
+      Alcotest.(check (list (pair string string)))
+        "OBJECTS store identity"
+        [
+          ("name", "OBJECTS_results.json"); ("driver", "objects"); ("kind", "OBJECTS");
+          ("artifact", "OBJECTS_results.json");
+        ]
+        [ ("name", a.name); ("driver", a.driver); ("kind", a.kind); List.hd a.config ];
+      text ^ a.payload)
 
 let test_table5 () =
   ab "Table 5" (fun () ->
-      render_to_buffer (fun ~out -> Experiments.Report.print_table5 ~out ~domains:1 ()))
+      fst (render_to_buffer (fun ~out -> Experiments.Report.print_table5 ~out ~domains:1 ())))
 
 let test_fig1_csv () =
   (* A shrunken Figure 1 grid, rendered through the shipping CSV
@@ -124,7 +134,7 @@ let test_fast_path_allocation () =
      with its continuation capture. The bound leaves room for the
      [Gc.minor_words] calls themselves and stray constants, but a
      single boxed value per iteration (>= 2000 words) would trip it. *)
-  with_modes ~fast:true ~fusion:true (fun () ->
+  in_mode true (fun () ->
       let sim = Sched.create Config.default in
       let per_iter = ref infinity in
       Sched.run sim (fun () ->

@@ -84,6 +84,26 @@ let test_jsonv_canonical () =
       {|{"a":{"b":3,"y":2},"m":[{"p":5,"q":4}],"z":1}|}
       (to_string (canonical v))
 
+let test_json_encoder_round_trip () =
+  let bytes = List.init 0x80 (fun c -> String.make 1 (Char.chr c)) in
+  let inputs =
+    bytes
+    @ [ ""; {|say "hi"|}; {|back\slash|}; {|\"|}; {|"\\""|}; String.concat "" bytes ]
+  in
+  List.iter
+    (fun s ->
+      match Fleet.Jsonv.parse (Engine.Json.quote s) with
+      | Ok (Fleet.Jsonv.Str back) -> check string (Printf.sprintf "quote %S" s) s back
+      | Ok _ -> Alcotest.failf "quote %S: not a string" s
+      | Error e -> Alcotest.failf "quote %S: %s" s e)
+    inputs;
+  match Fleet.Jsonv.parse (Engine.Json.string_list inputs) with
+  | Ok (Fleet.Jsonv.Arr xs) ->
+    check (Alcotest.list string) "string_list round trip" inputs
+      (List.map (function Fleet.Jsonv.Str s -> s | _ -> "<not a string>") xs)
+  | Ok _ -> Alcotest.fail "string_list: not an array"
+  | Error e -> Alcotest.fail e
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                              *)
 
@@ -367,14 +387,22 @@ let test_emit_writes_payload_verbatim () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "fleet_emit_test" in
   let store = Filename.concat dir "store.jsonl" in
   if Sys.file_exists store then Sys.remove store;
+  let read_all path = In_channel.with_open_bin path In_channel.input_all in
+  let emit ~driver ~kind ~legacy ~config ~metrics payload =
+    let r =
+      Fleet.Emit.artifact ~store ~csv_dir:dir ~driver ~kind ~legacy ~config ~metrics
+        ~payload ()
+    in
+    check string "legacy file holds the payload bytes" payload
+      (read_all (Filename.concat dir legacy));
+    Sys.remove (Filename.concat dir legacy);
+    r
+  in
   let payload = "line one\nline two \xc3\xa9\n" in
   let r =
-    Fleet.Emit.artifact ~store ~csv_dir:dir ~driver:"t" ~kind:"T"
-      ~legacy:"artifact.txt" ~config:[] ~metrics:[ ("m", 1.) ] ~payload ()
+    emit ~driver:"t" ~kind:"T" ~legacy:"artifact.txt" ~config:[] ~metrics:[ ("m", 1.) ]
+      payload
   in
-  let read_all path = In_channel.with_open_bin path In_channel.input_all in
-  check string "legacy file holds the payload bytes" payload
-    (read_all (Filename.concat dir "artifact.txt"));
   (match Fleet.Store.load ~path:store with
   | Ok [ stored ] ->
     check string "stored payload = file bytes" payload stored.Fleet.Store.r_payload;
@@ -383,7 +411,51 @@ let test_emit_writes_payload_verbatim () =
   | Ok _ -> Alcotest.fail "expected exactly one record"
   | Error e -> Alcotest.fail e);
   Sys.remove store;
-  Sys.remove (Filename.concat dir "artifact.txt")
+  (* Report artifacts carry the store identity the CLI records for
+     them: each file names its own driver and kind, and its config
+     opens with ("artifact", file name). *)
+  let series = Engine.Series.create ~name:"waiting" () in
+  Engine.Series.add series ~t:0 ~v:1.;
+  Engine.Series.add series ~t:100 ~v:3.;
+  let row variant total =
+    {
+      Experiments.Ablations.sw_point = "low";
+      sw_variant = variant;
+      sw_total_ns = total;
+      sw_mean_wait_us = 1.5;
+      sw_blocks = 0;
+      sw_spin_probes = 2;
+      sw_swaps = 0;
+      sw_final_impl = "tas";
+    }
+  in
+  List.iter
+    (fun ((a : Experiments.Report.artifact), (name, driver, kind)) ->
+      let r =
+        emit ~driver:a.driver ~kind:a.kind ~legacy:a.name ~config:a.config
+          ~metrics:a.metrics a.payload
+      in
+      check Alcotest.(list (pair string string)) (name ^ " store identity")
+        [ ("name", name); ("driver", driver); ("kind", kind); ("artifact", name) ]
+        [ ("name", a.name); ("driver", r.Fleet.Store.r_driver);
+          ("kind", r.Fleet.Store.r_kind); List.hd a.config ];
+      check string (name ^ " stored payload") a.payload r.Fleet.Store.r_payload)
+    [
+      ( Experiments.Report.fig1_artifact
+          [
+            {
+              Experiments.Fig1.kind = Locks.Lock.Spin;
+              points = [ { Experiments.Fig1.cs_ns = 5000; total_ns = 100000 } ];
+            };
+          ],
+        ("fig1.csv", "fig1", "FIG") );
+      (Experiments.Report.figure_artifact 4 series, ("fig4.csv", "tsp", "FIG"));
+      ( Experiments.Report.figure_artifact ~spec:Tsp.Parallel.default_spec 9 series,
+        ("fig9.csv", "tsp", "FIG") );
+      ( Experiments.Report.switch_locks_artifact [ row "fixed tas" 900; row "adaptive" 800 ],
+        ("ABLATION_LOCKS_results.json", "ablation-locks", "ABLATION_LOCKS") );
+    ];
+  Sys.remove store
 
 let test_series_csv_string_matches_output_csv () =
   let s1 = Engine.Series.create ~name:"waiting" () in
@@ -438,6 +510,8 @@ let suite =
     Alcotest.test_case "jsonv: malformed documents rejected" `Quick test_jsonv_errors;
     Alcotest.test_case "jsonv: canonical sorts keys recursively" `Quick
       test_jsonv_canonical;
+    Alcotest.test_case "json: encoder output parses back to its input" `Quick
+      test_json_encoder_round_trip;
     Alcotest.test_case "store: line round trip is byte-identical" `Quick
       test_store_line_roundtrip;
     Alcotest.test_case "store: append/load/reserialize round trip" `Quick
