@@ -1,6 +1,6 @@
 (* Explicit-state model checker over Core.Protocol. Bounded BFS with
-   a hashed seen-set; liveness via backward reachability from the goal
-   states. Pure and deterministic throughout, so every state count,
+   a hashed seen-set of packed keys; liveness via backward
+   reachability from the goal states. Pure and deterministic throughout, so every state count,
    verdict and counterexample — and the JSON built from them — is the
    same bytes at any domain count. *)
 
@@ -20,9 +20,10 @@ type report = {
   r_verdict : verdict;
 }
 
-(* Growable state store: ids are BFS discovery order, which doubles as
-   the deterministic tiebreak (the earliest wedged state is the one
-   reported). *)
+(* Growable flat vectors. State ids are BFS discovery order, which
+   doubles as the deterministic tiebreak (the earliest wedged state is
+   the one reported) and as the queue: the next state to expand is
+   simply the next id. *)
 type 'a vec = { mutable buf : 'a array; mutable len : int }
 
 let vec_make dummy = { buf = Array.make 1024 dummy; len = 0 }
@@ -36,41 +37,115 @@ let vec_push v x =
   v.buf.(v.len) <- x;
   v.len <- v.len + 1
 
-let vec_get v i = v.buf.(i)
+(* Keys are compared and hashed eight bytes at a time, then bytewise
+   over the tail. *)
+let word_bytes buf i = Int64.to_int (Bytes.get_int64_le buf i)
+
+let hash_bytes buf len =
+  let h = ref len and i = ref 0 in
+  while !i + 8 <= len do
+    h := (!h lxor word_bytes buf !i) * 0x100000001b3;
+    h := !h lxor (!h lsr 31);
+    i := !i + 8
+  done;
+  while !i < len do
+    h := (!h lxor Char.code (Bytes.get buf !i)) * 0x100000001b3;
+    incr i
+  done;
+  (!h lxor (!h lsr 29)) land max_int
+
+let rec equal_from (k : string) buf len i =
+  if i + 8 <= len then
+    Int64.equal (String.get_int64_le k i) (Bytes.get_int64_le buf i)
+    && equal_from k buf len (i + 8)
+  else i >= len || (String.get k i = Bytes.get buf i && equal_from k buf len (i + 1))
+
+let equal_key (k : string) buf len = String.length k = len && equal_from k buf len 0
+
+(* The seen-set: each state is stored once, as its packed key, in
+   [keys]. [table] is an open-addressing (linear probing) index over
+   them: slot [i] holds a state id at [2i] (-1 when empty) and that
+   key's hash at [2i + 1], so a probe reads the key only on a hash
+   match. It doubles at half load. *)
+type seen = { keys : string vec; mutable table : int array }
+
+let seen_make () = { keys = vec_make ""; table = Array.make 8192 (-1) }
+
+(* First slot at or after [i] that is empty or holds key [buf.[0 .. len)]. *)
+let rec probe table mask h buf len keys i =
+  let id = table.(2 * i) in
+  if id < 0 || (table.((2 * i) + 1) = h && equal_key keys.(id) buf len) then i
+  else probe table mask h buf len keys ((i + 1) land mask)
+
+let rec free_slot table mask i =
+  if table.(2 * i) < 0 then i else free_slot table mask ((i + 1) land mask)
+
+let grow s =
+  let old = s.table in
+  let table = Array.make (2 * Array.length old) (-1) in
+  let mask = (Array.length table / 2) - 1 in
+  for j = 0 to (Array.length old / 2) - 1 do
+    if old.(2 * j) >= 0 then begin
+      let h = old.((2 * j) + 1) in
+      let i = free_slot table mask (h land mask) in
+      table.(2 * i) <- old.(2 * j);
+      table.((2 * i) + 1) <- h
+    end
+  done;
+  s.table <- table
+
+(* The id of key [buf.[0 .. len)] with hash [h], or -1 when it is new. *)
+let find s h buf len =
+  let mask = (Array.length s.table / 2) - 1 in
+  s.table.(2 * probe s.table mask h buf len s.keys.buf (h land mask))
+
+let add s h buf len =
+  if 4 * (s.keys.len + 1) > Array.length s.table then grow s;
+  let mask = (Array.length s.table / 2) - 1 in
+  let i = free_slot s.table mask (h land mask) in
+  let id = s.keys.len in
+  s.table.(2 * i) <- id;
+  s.table.((2 * i) + 1) <- h;
+  vec_push s.keys (Bytes.sub_string buf 0 len);
+  id
 
 (* Reconstruct the (role, label) path from the initial state to [id]
-   via parent pointers. *)
-let path_to parents id =
+   via parent pointers and the transition taken into each state. *)
+let path_to model parent via id =
   let rec go acc id =
-    match vec_get parents id with
-    | None -> acc
-    | Some (pred, role, label) -> go ((role, label) :: acc) pred
+    if parent.buf.(id) < 0 then acc
+    else go (Protocol.transition model via.buf.(id) :: acc) parent.buf.(id)
   in
   go [] id
 
 let check ?(max_states = 2_000_000) model prop =
-  let init = Protocol.init model in
-  let dummy_state = init in
-  let states = vec_make dummy_state in
-  let parents : (int * string * string) option vec = vec_make None in
-  (* Forward adjacency, only kept for liveness (the backward pass). *)
+  let seen = seen_make () in
+  let parent = vec_make 0 and via = vec_make 0 in
+  (* Edges, only kept for liveness (the backward pass). *)
   let keep_edges = match prop with Protocol.Liveness _ -> true | _ -> false in
-  let succs_of : int list vec = vec_make [] in
-  let seen : (string, int) Hashtbl.t = Hashtbl.create 4096 in
+  let src = vec_make 0 and dst = vec_make 0 in
+  (* Scratch owned by this call, so concurrent checks share nothing. *)
+  let next = Protocol.scratch model in
+  let buf = Bytes.create (Protocol.max_key_len model) in
   let edges = ref 0 in
   let violation = ref None in
   let truncated = ref false in
-  let intern st parent =
-    let k = Protocol.key model st in
-    match Hashtbl.find_opt seen k with
-    | Some id -> (id, false)
-    | None ->
-      let id = states.len in
-      Hashtbl.add seen k id;
-      vec_push states st;
-      vec_push parents parent;
-      if keep_edges then vec_push succs_of [];
-      (id, true)
+  (* The id of [st], interning it as the child of [from] via [tr] when
+     it is new; past [max_states] distinct states, give up. *)
+  let intern st from tr =
+    let len = Protocol.write_key model st buf in
+    let h = hash_bytes buf len in
+    let id = find seen h buf len in
+    if id >= 0 then id
+    else begin
+      if seen.keys.len >= max_states then begin
+        truncated := true;
+        raise Exit
+      end;
+      vec_push parent from;
+      vec_push via tr;
+      add seen h buf len
+    end
   in
   let bad_state id st =
     match prop with
@@ -78,49 +153,46 @@ let check ?(max_states = 2_000_000) model prop =
       match q_bad model st with
       | Some why ->
         violation :=
-          Some { x_steps = path_to parents id; x_why = why;
+          Some { x_steps = path_to model parent via id; x_why = why;
                  x_state = Protocol.describe model st };
         true
       | None -> false)
     | _ -> false
   in
-  let bad_step pre_id pre role label =
+  let bad_step pre_id pre tr =
     match prop with
     | Protocol.Step { q_bad; _ } -> (
+      let role, label = Protocol.transition model tr in
       match q_bad model ~role ~label pre with
       | Some why ->
         violation :=
-          Some { x_steps = path_to parents pre_id @ [ (role, label) ]; x_why = why;
+          Some { x_steps = path_to model parent via pre_id @ [ (role, label) ]; x_why = why;
                  x_state = Protocol.describe model pre };
         true
       | None -> false)
     | _ -> false
   in
-  let q = Queue.create () in
-  let id0, _ = intern init None in
-  if not (bad_state id0 init) then Queue.add id0 q;
   (try
-     while not (Queue.is_empty q) do
-       let id = Queue.pop q in
-       let st = vec_get states id in
-       List.iter
-         (fun (role, label, st') ->
+     let init = Protocol.init model in
+     if bad_state (intern init (-1) (-1)) init then raise Exit;
+     let cursor = ref 0 in
+     while !cursor < seen.keys.len do
+       let id = !cursor in
+       incr cursor;
+       let st = Protocol.of_key model seen.keys.buf.(id) in
+       Protocol.iter_successors model st ~into:next (fun tr ->
            incr edges;
-           if bad_step id st role label then raise Exit;
-           let id', fresh = intern st' (Some (id, role, label)) in
-           if keep_edges then
-             succs_of.buf.(id) <- id' :: succs_of.buf.(id);
-           if fresh then begin
-             if bad_state id' st' then raise Exit;
-             if states.len >= max_states then begin
-               truncated := true;
-               raise Exit
-             end;
-             Queue.add id' q
-           end)
-         (Protocol.successors model st)
+           if bad_step id st tr then raise Exit;
+           let fresh = seen.keys.len in
+           let id' = intern next id tr in
+           if keep_edges then begin
+             vec_push src id;
+             vec_push dst id'
+           end;
+           if id' = fresh && bad_state id' next then raise Exit)
      done
    with Exit -> ());
+  let n = seen.keys.len in
   let verdict =
     match (!violation, !truncated) with
     | Some cex, _ -> Violated cex
@@ -130,29 +202,44 @@ let check ?(max_states = 2_000_000) model prop =
       | Protocol.Safety _ | Protocol.Step _ -> Holds
       | Protocol.Liveness { q_goal; _ } ->
         (* Backward reachability: every reachable state must be able
-           to reach a goal state. *)
-        let n = states.len in
-        let preds = Array.make n [] in
-        for id = 0 to n - 1 do
-          List.iter (fun id' -> preds.(id') <- id :: preds.(id')) (vec_get succs_of id)
+           to reach a goal state. Predecessors in CSR form: those of
+           [id] are [preds.(start.(id)) .. preds.(start.(id + 1) - 1)]. *)
+        let m = src.len in
+        let start = Array.make (n + 1) 0 in
+        for e = 0 to m - 1 do
+          start.(dst.buf.(e) + 1) <- start.(dst.buf.(e) + 1) + 1
+        done;
+        for id = 1 to n do
+          start.(id) <- start.(id) + start.(id - 1)
+        done;
+        let fill = Array.sub start 0 n in
+        let preds = Array.make m 0 in
+        for e = 0 to m - 1 do
+          let d = dst.buf.(e) in
+          preds.(fill.(d)) <- src.buf.(e);
+          fill.(d) <- fill.(d) + 1
         done;
         let ok = Array.make n false in
-        let bq = Queue.create () in
+        let bq = Array.make n 0 and tail = ref 0 in
         for id = 0 to n - 1 do
-          if q_goal model (vec_get states id) then begin
+          if q_goal model (Protocol.of_key model seen.keys.buf.(id)) then begin
             ok.(id) <- true;
-            Queue.add id bq
+            bq.(!tail) <- id;
+            incr tail
           end
         done;
-        while not (Queue.is_empty bq) do
-          let id = Queue.pop bq in
-          List.iter
-            (fun p ->
-              if not ok.(p) then begin
-                ok.(p) <- true;
-                Queue.add p bq
-              end)
-            preds.(id)
+        let head = ref 0 in
+        while !head < !tail do
+          let id = bq.(!head) in
+          incr head;
+          for e = start.(id) to start.(id + 1) - 1 do
+            let p = preds.(e) in
+            if not ok.(p) then begin
+              ok.(p) <- true;
+              bq.(!tail) <- p;
+              incr tail
+            end
+          done
         done;
         let wedged = ref (-1) in
         for id = n - 1 downto 0 do
@@ -161,12 +248,12 @@ let check ?(max_states = 2_000_000) model prop =
         if !wedged < 0 then Holds
         else
           Violated
-            { x_steps = path_to parents !wedged;
+            { x_steps = path_to model parent via !wedged;
               x_why = "wedged: no path to a quiesced/goal state";
-              x_state = Protocol.describe model (vec_get states !wedged) })
+              x_state = Protocol.describe model (Protocol.of_key model seen.keys.buf.(!wedged)) })
   in
   { r_model = Protocol.name model; r_property = Protocol.property_name prop;
-    r_desc = Protocol.property_desc prop; r_states = states.len; r_edges = !edges;
+    r_desc = Protocol.property_desc prop; r_states = n; r_edges = !edges;
     r_verdict = verdict }
 
 let check_all ?domains ?max_states ?only models =

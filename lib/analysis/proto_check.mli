@@ -1,7 +1,8 @@
 (** Explicit-state model checker for [Protocol] specs.
 
-    Bounded breadth-first exploration with a hashed seen-set — no
-    external tools. Safety properties are judged on every reachable
+    Bounded breadth-first exploration with a hashed seen-set that
+    keeps each state only as its packed {!Protocol.key} — no external
+    tools. Safety properties are judged on every reachable
     state (or transition, for [Step] properties) as it is discovered;
     liveness-as-absence-of-wedged-states does one full exploration,
     then a backward reachability pass from the goal states: any
@@ -37,8 +38,10 @@ type report = {
 }
 
 val check : ?max_states:int -> Protocol.t -> Protocol.property -> report
-(** Check one property of one model. [max_states] defaults to
-    2_000_000. *)
+(** Check one property of one model. Exploration explores at most
+    [max_states] distinct states (default 2_000_000): a model with
+    exactly [max_states] reachable states still gets a verdict, and
+    [Out_of_bounds] means a state beyond the bound was reached. *)
 
 val check_all :
   ?domains:int ->

@@ -68,18 +68,10 @@ exception Ill_formed of string
 
 let ill fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
 
-(* Compiled (indexed) forms: every name resolved to an array slot so
-   evaluation during exploration never touches a string. *)
+(* Compiled (indexed) form: every name resolved to a word of the flat
+   state, so evaluation during exploration never touches a string. *)
 
-type cexpr =
-  | CK of int
-  | CS of int
-  | CL of int
-  | CMe
-  | CClock
-  | CStatus of int
-  | CAdd of cexpr * cexpr
-  | CSub of cexpr * cexpr
+type cexpr = CK of int | CW of int | CAdd of cexpr * cexpr | CSub of cexpr * cexpr
 
 type cguard =
   | CT
@@ -88,34 +80,38 @@ type cguard =
   | CAny of cguard list
   | CNot of cguard
 
-type cact =
-  | CRead of int * int
-  | CWrite of int * cexpr
-  | CSet of int * cexpr
-  | CIf of cguard * cact list * cact list
-  | CUnpark of int
+type cact = CSet of int * cexpr | CIf of cguard * cact list * cact list | CUnpark of int
 
 type crule = {
   c_role : int;
   c_from : int;
-  c_label : string;
   c_guard : cguard;
   c_acts : cact list;
   c_to : int;
   c_park : bool;
   c_done : bool;
-  c_timeout : bool;
 }
 
+(* A state is one flat [int array]:
+     [shared | pcs | locals, role-major | statuses | wake tokens | clk | cr]
+   with the offsets below computed once by [compile]. *)
 type t = {
   t_spec : Spec.t;
   t_shared_names : string array;
-  t_shared_init : int array;
   t_role_names : string array;
   t_crashable : bool array;
   t_local_names : string array array;
-  t_local_init : int array array;
   t_rules : crule array;
+  t_labels : (string * string) array;
+      (* transition -> (role, label): rules, then one crash per role, then tick *)
+  t_init : int array;
+  t_pc : int;
+  t_loc : int array;  (* first local of each role *)
+  t_st : int;
+  t_wk : int;
+  t_clk : int;
+  t_cr : int;
+  t_width : int;
 }
 
 (* status codes *)
@@ -132,11 +128,12 @@ let status_of_code = function
   | 2 -> Crashed
   | _ -> Done
 
+let rec find_name (names : string array) (n : string) i =
+  if i >= Array.length names then -1 else if names.(i) = n then i else find_name names n (i + 1)
+
 let index_of what names n =
-  let rec go i = if i >= Array.length names then ill "%s: unknown name %s" what n
-    else if names.(i) = n then i else go (i + 1)
-  in
-  go 0
+  let i = find_name names n 0 in
+  if i < 0 then ill "%s: unknown name %s" what n else i
 
 let check_dups what names =
   Array.iteri
@@ -149,28 +146,37 @@ let compile (s : Spec.t) : t =
   if s.Spec.p_crash_budget < 0 then ill "protocol %s: negative crash budget" s.Spec.p_name;
   if s.Spec.p_clock_max < 0 then ill "protocol %s: negative clock bound" s.Spec.p_name;
   let shared_names = Array.of_list (List.map fst s.Spec.p_shared) in
-  let shared_init = Array.of_list (List.map snd s.Spec.p_shared) in
   let role_names = Array.of_list (List.map (fun r -> r.Spec.r_name) s.Spec.p_roles) in
   let crashable = Array.of_list (List.map (fun r -> r.Spec.r_crashable) s.Spec.p_roles) in
   let local_names =
     Array.of_list (List.map (fun r -> Array.of_list (List.map fst r.Spec.r_locals)) s.Spec.p_roles)
   in
-  let local_init =
-    Array.of_list (List.map (fun r -> Array.of_list (List.map snd r.Spec.r_locals)) s.Spec.p_roles)
-  in
   check_dups s.Spec.p_name shared_names;
   check_dups s.Spec.p_name role_names;
   Array.iter (check_dups s.Spec.p_name) local_names;
+  let nshared = Array.length shared_names and nroles = Array.length role_names in
+  let loc = Array.make nroles 0 in
+  let next = ref (nshared + nroles) in
+  Array.iteri (fun r ls -> loc.(r) <- !next; next := !next + Array.length ls) local_names;
+  let o_st = !next in
+  let o_wk = o_st + nroles in
+  let o_clk = o_wk + nroles in
+  let width = o_clk + 2 in
+  let init = Array.make width 0 in
+  List.iteri (fun i (_, v) -> init.(i) <- v) s.Spec.p_shared;
+  List.iteri
+    (fun r role -> List.iteri (fun i (_, v) -> init.(loc.(r) + i) <- v) role.Spec.r_locals)
+    s.Spec.p_roles;
   let shared_ix n = index_of (s.Spec.p_name ^ " shared") shared_names n in
   let role_ix n = index_of (s.Spec.p_name ^ " role") role_names n in
-  let local_ix role n = index_of (s.Spec.p_name ^ " local") local_names.(role) n in
+  let local_ix role n = loc.(role) + index_of (s.Spec.p_name ^ " local") local_names.(role) n in
   let rec cexpr role = function
     | Spec.K v -> CK v
-    | Spec.S n -> CS (shared_ix n)
-    | Spec.L n -> CL (local_ix role n)
-    | Spec.Me -> CMe
-    | Spec.Clock -> CClock
-    | Spec.Status n -> CStatus (role_ix n)
+    | Spec.S n -> CW (shared_ix n)
+    | Spec.L n -> CW (local_ix role n)
+    | Spec.Me -> CK (role + 1)
+    | Spec.Clock -> CW o_clk
+    | Spec.Status n -> CW (o_st + role_ix n)
     | Spec.Add (a, b) -> CAdd (cexpr role a, cexpr role b)
     | Spec.Sub (a, b) -> CSub (cexpr role a, cexpr role b)
   in
@@ -182,8 +188,8 @@ let compile (s : Spec.t) : t =
     | Spec.Not g -> CNot (cguard role g)
   in
   let rec cact role = function
-    | Spec.Read (l, w) -> CRead (local_ix role l, shared_ix w)
-    | Spec.Write (w, e) -> CWrite (shared_ix w, cexpr role e)
+    | Spec.Read (l, w) -> CSet (local_ix role l, CW (shared_ix w))
+    | Spec.Write (w, e) -> CSet (shared_ix w, cexpr role e)
     | Spec.Set (l, e) -> CSet (local_ix role l, cexpr role e)
     | Spec.If (g, a, b) -> CIf (cguard role g, List.map (cact role) a, List.map (cact role) b)
     | Spec.Unpark n -> CUnpark (role_ix n)
@@ -192,147 +198,193 @@ let compile (s : Spec.t) : t =
     let role = role_ix u.Spec.u_role in
     if u.Spec.u_park && u.Spec.u_done then
       ill "%s rule %s: park and done are exclusive" s.Spec.p_name u.Spec.u_label;
-    { c_role = role; c_from = u.Spec.u_from; c_label = u.Spec.u_label;
-      c_guard = cguard role u.Spec.u_guard; c_acts = List.map (cact role) u.Spec.u_acts;
-      c_to = u.Spec.u_to; c_park = u.Spec.u_park; c_done = u.Spec.u_done;
-      c_timeout = u.Spec.u_timeout }
+    { c_role = role; c_from = u.Spec.u_from; c_guard = cguard role u.Spec.u_guard;
+      c_acts = List.map (cact role) u.Spec.u_acts; c_to = u.Spec.u_to;
+      c_park = u.Spec.u_park; c_done = u.Spec.u_done }
   in
-  { t_spec = s; t_shared_names = shared_names; t_shared_init = shared_init;
-    t_role_names = role_names; t_crashable = crashable; t_local_names = local_names;
-    t_local_init = local_init; t_rules = Array.of_list (List.map crule s.Spec.p_rules) }
+  let labels =
+    Array.concat
+      [ Array.of_list (List.map (fun u -> (u.Spec.u_role, u.Spec.u_label)) s.Spec.p_rules);
+        Array.map (fun rn -> (rn, "crash")) role_names;
+        [| ("", "tick") |] ]
+  in
+  { t_spec = s; t_shared_names = shared_names; t_role_names = role_names;
+    t_crashable = crashable; t_local_names = local_names;
+    t_rules = Array.of_list (List.map crule s.Spec.p_rules); t_labels = labels;
+    t_init = init; t_pc = nshared; t_loc = loc; t_st = o_st; t_wk = o_wk; t_clk = o_clk;
+    t_cr = o_clk + 1; t_width = width }
 
 let name t = t.t_spec.Spec.p_name
 let spec t = t.t_spec
 let role_names t = Array.to_list t.t_role_names
 
-type state = {
-  sh : int array;
-  pcs : int array;
-  regs : int array array;
-  sts : int array;
-  wk : int array;
-  clk : int;
-  cr : int;
-}
+type state = int array
 
-let init t =
-  let n = Array.length t.t_role_names in
-  { sh = Array.copy t.t_shared_init;
-    pcs = Array.make n 0;
-    regs = Array.map Array.copy t.t_local_init;
-    sts = Array.make n st_running;
-    wk = Array.make n 0;
-    clk = 0;
-    cr = 0 }
+let init t = Array.copy t.t_init
+let scratch t = Array.make t.t_width 0
+let transition t i = t.t_labels.(i)
 
-let rec eval st me = function
+let rec eval st = function
   | CK v -> v
-  | CS i -> st.sh.(i)
-  | CL i -> st.regs.(me).(i)
-  | CMe -> me + 1
-  | CClock -> st.clk
-  | CStatus r -> st.sts.(r)
-  | CAdd (a, b) -> eval st me a + eval st me b
-  | CSub (a, b) -> eval st me a - eval st me b
+  | CW i -> st.(i)
+  | CAdd (a, b) -> eval st a + eval st b
+  | CSub (a, b) -> eval st a - eval st b
 
-let cmp_op : Spec.cmp -> int -> int -> bool = function
-  | Spec.Eq -> ( = )
-  | Spec.Ne -> ( <> )
-  | Spec.Lt -> ( < )
-  | Spec.Le -> ( <= )
-  | Spec.Gt -> ( > )
-  | Spec.Ge -> ( >= )
-
-let rec holds st me = function
+let rec holds st = function
   | CT -> true
-  | CC (c, a, b) -> cmp_op c (eval st me a) (eval st me b)
-  | CAll gs -> List.for_all (holds st me) gs
-  | CAny gs -> List.exists (holds st me) gs
-  | CNot g -> not (holds st me g)
+  | CC (c, a, b) -> (
+    let a = eval st a and b = eval st b in
+    match c with
+    | Spec.Eq -> a = b
+    | Spec.Ne -> a <> b
+    | Spec.Lt -> a < b
+    | Spec.Le -> a <= b
+    | Spec.Gt -> a > b
+    | Spec.Ge -> a >= b)
+  | CAll gs -> holds_all st gs
+  | CAny gs -> holds_any st gs
+  | CNot g -> not (holds st g)
 
-let copy st =
-  { st with sh = Array.copy st.sh; pcs = Array.copy st.pcs;
-    regs = Array.map Array.copy st.regs; sts = Array.copy st.sts; wk = Array.copy st.wk }
+and holds_all st = function [] -> true | g :: gs -> holds st g && holds_all st gs
+and holds_any st = function [] -> false | g :: gs -> holds st g || holds_any st gs
 
-(* Actions mutate the copy in order: later actions observe earlier
+(* Actions mutate the successor in order: later actions observe earlier
    writes within the same atomic rule. *)
-let rec apply_act st me = function
-  | CRead (l, w) -> st.regs.(me).(l) <- st.sh.(w)
-  | CWrite (w, e) -> st.sh.(w) <- eval st me e
-  | CSet (l, e) -> st.regs.(me).(l) <- eval st me e
-  | CIf (g, a, b) -> List.iter (apply_act st me) (if holds st me g then a else b)
-  | CUnpark r ->
-    (* Sticky wakeups: waking a parked role resumes it; waking a
-       running role leaves a token its next park consumes. Crashed and
-       finished roles ignore wakeups. *)
-    if st.sts.(r) = st_parked then st.sts.(r) <- st_running
-    else if st.sts.(r) = st_running then st.wk.(r) <- 1
+let rec apply_acts t st = function
+  | [] -> ()
+  | a :: rest ->
+    (match a with
+    | CSet (w, e) -> st.(w) <- eval st e
+    | CIf (g, a, b) -> apply_acts t st (if holds st g then a else b)
+    | CUnpark r ->
+      (* Sticky wakeups: waking a parked role resumes it; waking a
+         running role leaves a token its next park consumes. Crashed
+         and finished roles ignore wakeups. *)
+      if st.(t.t_st + r) = st_parked then st.(t.t_st + r) <- st_running
+      else if st.(t.t_st + r) = st_running then st.(t.t_wk + r) <- 1);
+    apply_acts t st rest
 
 let fire t st (r : crule) =
-  ignore t;
-  let st' = copy st in
-  List.iter (apply_act st' r.c_role) r.c_acts;
-  st'.pcs.(r.c_role) <- r.c_to;
-  if r.c_done then st'.sts.(r.c_role) <- st_done
+  apply_acts t st r.c_acts;
+  st.(t.t_pc + r.c_role) <- r.c_to;
+  if r.c_done then st.(t.t_st + r.c_role) <- st_done
   else if r.c_park then begin
-    if st'.wk.(r.c_role) = 1 then st'.wk.(r.c_role) <- 0
-    else st'.sts.(r.c_role) <- st_parked
-  end;
-  st'
+    if st.(t.t_wk + r.c_role) = 1 then st.(t.t_wk + r.c_role) <- 0
+    else st.(t.t_st + r.c_role) <- st_parked
+  end
+
+let iter_successors t st ~into f =
+  let width = t.t_width and nrules = Array.length t.t_rules in
+  for i = 0 to nrules - 1 do
+    let r = t.t_rules.(i) in
+    if st.(t.t_st + r.c_role) = st_running && st.(t.t_pc + r.c_role) = r.c_from
+       && holds st r.c_guard
+    then begin
+      Array.blit st 0 into 0 width;
+      fire t into r;
+      f i
+    end
+  done;
+  if st.(t.t_cr) < t.t_spec.Spec.p_crash_budget then
+    for i = 0 to Array.length t.t_crashable - 1 do
+      let s = st.(t.t_st + i) in
+      if t.t_crashable.(i) && (s = st_running || s = st_parked) then begin
+        Array.blit st 0 into 0 width;
+        into.(t.t_st + i) <- st_crashed;
+        into.(t.t_cr) <- st.(t.t_cr) + 1;
+        f (nrules + i)
+      end
+    done;
+  if st.(t.t_clk) < t.t_spec.Spec.p_clock_max then begin
+    Array.blit st 0 into 0 width;
+    into.(t.t_clk) <- st.(t.t_clk) + 1;
+    f (nrules + Array.length t.t_role_names)
+  end
 
 let successors t st =
-  let out = ref [] in
-  Array.iter
-    (fun r ->
-      if st.sts.(r.c_role) = st_running && st.pcs.(r.c_role) = r.c_from
-         && holds st r.c_role r.c_guard
-      then out := (t.t_role_names.(r.c_role), r.c_label, fire t st r) :: !out)
-    t.t_rules;
-  if st.cr < t.t_spec.Spec.p_crash_budget then
-    Array.iteri
-      (fun i crashable ->
-        if crashable && (st.sts.(i) = st_running || st.sts.(i) = st_parked) then begin
-          let st' = copy st in
-          st'.sts.(i) <- st_crashed;
-          out := (t.t_role_names.(i), "crash", { st' with cr = st.cr + 1 }) :: !out
-        end)
-      t.t_crashable;
-  if st.clk < t.t_spec.Spec.p_clock_max then
-    out := ("", "tick", { (copy st) with clk = st.clk + 1 }) :: !out;
+  let into = scratch t and out = ref [] in
+  iter_successors t st ~into (fun i ->
+      let role, label = t.t_labels.(i) in
+      out := (role, label, Array.copy into) :: !out);
   List.rev !out
 
-let key _t st = Marshal.to_string st []
+(* Keys: each word as a zigzag varint (sign folded into bit 0, then 7
+   bits per byte, high bit = more), so [-64, 63] costs one byte and any
+   int at most nine. Every state of a model has the same width, so the
+   concatenation is canonical and decodes back losslessly. *)
 
-let shared t st n = st.sh.(index_of "shared" t.t_shared_names n)
+let max_key_len t = 9 * t.t_width
+
+let write_key t st buf =
+  let pos = ref 0 in
+  for i = 0 to t.t_width - 1 do
+    let z = ref ((st.(i) lsl 1) lxor (st.(i) asr (Sys.int_size - 1))) in
+    while !z lsr 7 <> 0 do
+      Bytes.set buf !pos (Char.unsafe_chr (!z land 0x7f lor 0x80));
+      incr pos;
+      z := !z lsr 7
+    done;
+    Bytes.set buf !pos (Char.unsafe_chr !z);
+    incr pos
+  done;
+  !pos
+
+let key t st =
+  let buf = Bytes.create (max_key_len t) in
+  Bytes.sub_string buf 0 (write_key t st buf)
+
+let of_key t k =
+  let st = scratch t and pos = ref 0 in
+  let byte () =
+    if !pos >= String.length k then invalid_arg "Protocol.of_key: truncated key";
+    let b = Char.code k.[!pos] in
+    incr pos;
+    b
+  in
+  for i = 0 to t.t_width - 1 do
+    let b = ref (byte ()) and z = ref 0 and shift = ref 0 in
+    while !b land 0x80 <> 0 do
+      z := !z lor ((!b land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      b := byte ()
+    done;
+    z := !z lor (!b lsl !shift);
+    st.(i) <- (!z lsr 1) lxor (- (!z land 1))
+  done;
+  if !pos <> String.length k then invalid_arg "Protocol.of_key: trailing bytes";
+  st
+
+let role_ix t rn = index_of "role" t.t_role_names rn
+let shared t st n = st.(index_of "shared" t.t_shared_names n)
 
 let local t st rn n =
-  let r = index_of "role" t.t_role_names rn in
-  st.regs.(r).(index_of "local" t.t_local_names.(r) n)
+  let r = role_ix t rn in
+  st.(t.t_loc.(r) + index_of "local" t.t_local_names.(r) n)
 
-let pc t st rn = st.pcs.(index_of "role" t.t_role_names rn)
-let status t st rn = status_of_code st.sts.(index_of "role" t.t_role_names rn)
-let wake_pending t st rn = st.wk.(index_of "role" t.t_role_names rn) = 1
-let clock _ st = st.clk
-let crashes _ st = st.cr
+let pc t st rn = st.(t.t_pc + role_ix t rn)
+let status t st rn = status_of_code st.(t.t_st + role_ix t rn)
+let wake_pending t st rn = st.(t.t_wk + role_ix t rn) = 1
+let clock t st = st.(t.t_clk)
+let crashes t st = st.(t.t_cr)
 
 let describe t st =
   let b = Buffer.create 128 in
-  Buffer.add_string b (Printf.sprintf "clk=%d cr=%d" st.clk st.cr);
-  Array.iteri (fun i n -> Buffer.add_string b (Printf.sprintf " %s=%d" n st.sh.(i)))
+  Buffer.add_string b (Printf.sprintf "clk=%d cr=%d" (clock t st) (crashes t st));
+  Array.iteri (fun i n -> Buffer.add_string b (Printf.sprintf " %s=%d" n st.(i)))
     t.t_shared_names;
   Array.iteri
     (fun i rn ->
       let s =
-        match status_of_code st.sts.(i) with
+        match status_of_code st.(t.t_st + i) with
         | Running -> "run"
         | Parked -> "parked"
         | Crashed -> "crashed"
         | Done -> "done"
       in
-      Buffer.add_string b (Printf.sprintf " %s@%d:%s" rn st.pcs.(i) s);
-      if st.wk.(i) = 1 then Buffer.add_string b "+wake";
+      Buffer.add_string b (Printf.sprintf " %s@%d:%s" rn st.(t.t_pc + i) s);
+      if st.(t.t_wk + i) = 1 then Buffer.add_string b "+wake";
       Array.iteri
-        (fun j ln -> Buffer.add_string b (Printf.sprintf "[%s=%d]" ln st.regs.(i).(j)))
+        (fun j ln -> Buffer.add_string b (Printf.sprintf "[%s=%d]" ln st.(t.t_loc.(i) + j)))
         t.t_local_names.(i))
     t.t_role_names;
   Buffer.contents b

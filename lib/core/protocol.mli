@@ -118,6 +118,9 @@ val role_names : t -> string list
 (** {1 States} *)
 
 type state
+(** One reachable configuration: shared words, every role's program
+    counter, locals, status and wake token, the clock and the crash
+    count. *)
 
 type status = Running | Parked | Crashed | Done
 
@@ -129,8 +132,34 @@ val successors : t -> state -> (string * string * state) list
     ["crash"] transitions (role declaration order), then the clock
     ["tick"] (role [""]). A state with no successors is terminal. *)
 
+val iter_successors : t -> state -> into:state -> (int -> unit) -> unit
+(** [iter_successors t st ~into f] enumerates the same transitions as
+    {!successors}, in the same order, without allocating: for each one
+    it overwrites [into] (a {!scratch} state distinct from [st]) with
+    the successor and calls [f] with the transition's index. [into] is
+    only valid until [f] returns. *)
+
+val transition : t -> int -> string * string
+(** [(role, label)] of a transition index passed by {!iter_successors}. *)
+
+val scratch : t -> state
+(** A fresh state buffer of the model's size, for [~into]. *)
+
 val key : t -> state -> string
-(** Canonical bytes for hashing/equality of states. *)
+(** Canonical bytes for hashing/equality of states: each word of the
+    state as a zigzag varint (one byte for values in \[-64, 63\]). *)
+
+val max_key_len : t -> int
+(** Upper bound on [String.length (key t st)] for any state. *)
+
+val write_key : t -> state -> bytes -> int
+(** [write_key t st buf] writes [key t st] into the first bytes of
+    [buf] (at least {!max_key_len} long) and returns its length. *)
+
+val of_key : t -> string -> state
+(** Inverse of {!key}: [key t (of_key t (key t st)) = key t st].
+    @raise Invalid_argument unless [k] holds exactly one varint per
+    word of a state of [t]. *)
 
 (** {1 Accessors} (for properties and reports) *)
 

@@ -30,12 +30,13 @@ let k = fun v -> K v
 let quiescence ?bug ~waiters () =
   let n = List.length waiters in
   if n < 1 then invalid_arg "Proto_models.quiescence";
-  let wname i = Printf.sprintf "w%d" i in
-  let wid i = 1 + i in
-  let reg i = Printf.sprintf "reg%d" i
-  and flag i = Printf.sprintf "flag%d" i
-  and kick i = Printf.sprintf "kick%d" i
-  and tk i = Printf.sprintf "tk%d" i in
+  (* Per-waiter names, built once: the properties look them up on
+     every state. *)
+  let names prefix = Array.init (n + 1) (fun i -> prefix ^ string_of_int i) in
+  let wnames = names "w" and regs = names "reg" and flags = names "flag"
+  and kicks = names "kick" and tks = names "tk" in
+  let wname i = wnames.(i) and wid i = 1 + i in
+  let reg i = regs.(i) and flag i = flags.(i) and kick i = kicks.(i) and tk i = tks.(i) in
   let shared =
     [ ("lockword", 1); ("owner", 1); ("ctl", 0); ("ack", 0); ("impl", 0); ("tkt", 1);
       ("committed", 0); ("rolled", 0); ("recovered", 0) ]
@@ -317,9 +318,9 @@ let quiescence ?bug ~waiters () =
 
 let mcs ?(contenders = 3) () =
   if contenders < 2 then invalid_arg "Proto_models.mcs";
-  let name i = Printf.sprintf "m%d" i in
-  let next i = Printf.sprintf "next%d" i
-  and flag i = Printf.sprintf "flag%d" i in
+  let names prefix = Array.init (contenders + 1) (fun i -> prefix ^ string_of_int i) in
+  let mnames = names "m" and nexts = names "next" and flags = names "flag" in
+  let name i = mnames.(i) and next i = nexts.(i) and flag i = flags.(i) in
   let idxs = List.init contenders (fun i -> i + 1) in
   let shared =
     ("tail", 0) :: List.concat_map (fun i -> [ (next i, 0); (flag i, 0) ]) idxs

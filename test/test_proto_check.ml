@@ -2,7 +2,9 @@
    protocol models verify clean; each seeded-bad variant produces a
    counterexample for exactly its expected properties; counterexamples
    replay on their own model; checker output is byte-identical at any
-   domain count; random walks of the model replay (model
+   domain count, also on a model large enough to grow the seen-set;
+   [max_states] bounds exploration inclusively; packed state keys
+   round-trip and are canonical; random walks of the model replay (model
    well-formedness); and an instrumented real [Switch_lock] swap's
    transition log replays through the quiescence model step for step
    (conformance: the model moves like the implementation). *)
@@ -80,7 +82,10 @@ let test_counterexample_replays () =
 
 let test_deterministic_across_domains () =
   let run domains =
-    let shipped = P.check_all ~domains (small_models ()) in
+    (* The two-waiter quiescence model (about 8.7k states) grows the
+       seen-set several times while other domains check concurrently. *)
+    let grown = PM.quiescence ~waiters:[ PM.Wsleep; PM.Wsleep ] () in
+    let shipped = P.check_all ~domains (grown :: small_models ()) in
     let fixtures =
       List.map
         (fun (name, model, expect) -> P.check_fixture ~name ~expect model)
@@ -89,6 +94,119 @@ let test_deterministic_across_domains () =
     P.to_json ~shipped ~fixtures ~lowered:[]
   in
   Alcotest.(check string) "domains 1 = domains 4" (run 1) (run 4)
+
+(* -- max_states bounds the distinct states explored, inclusively -- *)
+
+let test_max_states_bound () =
+  let model, props = PM.guard () in
+  let verdict max_states =
+    let r = P.check ~max_states model (List.hd props) in
+    match r.P.r_verdict with
+    | P.Holds -> "holds"
+    | P.Out_of_bounds -> "out-of-bounds"
+    | P.Violated _ -> "violated"
+  in
+  Alcotest.(check string) "exactly 5 reachable states fit a bound of 5" "holds" (verdict 5);
+  Alcotest.(check string) "a bound of 4 is exceeded" "out-of-bounds" (verdict 4)
+
+(* -- packed keys: lossless, canonical, and injective on states -- *)
+
+module Pr = Adaptive_core.Protocol
+
+(* Every state a seeded random walk visits, plus all their successors. *)
+let walk_states model ~seed =
+  let trace, _ = P.random_walk model ~seed ~steps:300 in
+  let rec go st acc = function
+    | [] -> st :: acc
+    | (role, label) :: rest ->
+      let succs = Pr.successors model st in
+      let acc = List.rev_append (List.map (fun (_, _, s) -> s) succs) (st :: acc) in
+      (match List.find_opt (fun (r, l, _) -> r = role && l = label) succs with
+      | Some (_, _, st') -> go st' acc rest
+      | None -> Alcotest.fail (Printf.sprintf "seed %d: walk step %s:%s" seed role label))
+  in
+  go (Pr.init model) [] trace
+
+let check_round_trip model st =
+  let k = Pr.key model st in
+  let st' = Pr.of_key model k in
+  Alcotest.(check string) "describe survives of_key" (Pr.describe model st) (Pr.describe model st');
+  Alcotest.(check string) "key survives of_key" k (Pr.key model st')
+
+let test_key_round_trip () =
+  let models =
+    PM.shipped () @ List.map (fun (_, mp, _) -> mp) (PM.seeded_bad ())
+  in
+  List.iter
+    (fun (model, _) ->
+      let by_desc = Hashtbl.create 1024 and by_key = Hashtbl.create 1024 in
+      for seed = 1 to 5 do
+        List.iter
+          (fun st ->
+            check_round_trip model st;
+            let d = Pr.describe model st and k = Pr.key model st in
+            (match Hashtbl.find_opt by_desc d with
+            | Some k' -> Alcotest.(check string) (Pr.name model ^ ": one key per state") k' k
+            | None -> Hashtbl.add by_desc d k);
+            match Hashtbl.find_opt by_key k with
+            | Some d' -> Alcotest.(check string) (Pr.name model ^ ": one state per key") d' d
+            | None -> Hashtbl.add by_key k d)
+          (walk_states model ~seed)
+      done;
+      Alcotest.(check bool) (Pr.name model ^ ": walked several states") true
+        (Hashtbl.length by_key > 1))
+    models
+
+(* Words outside the one-byte range [-64, 63]: negative, above 2^20,
+   and the int extremes. *)
+let test_key_wide_words () =
+  let module S = Pr.Spec in
+  let spec =
+    { S.p_name = "wide-words";
+      p_shared = [ ("neg", 0); ("big", 0); ("lo", 0); ("hi", 0) ];
+      p_roles =
+        [ { S.r_name = "writer"; r_flavor = S.Monitor; r_crashable = false;
+            r_locals = [ ("x", -1) ] } ];
+      p_rules =
+        [ S.rule ~role:"writer" ~from_:0
+            ~acts:
+              [ S.Write ("neg", S.K (-5)); S.Write ("big", S.K ((1 lsl 21) + 3));
+                S.Write ("lo", S.K min_int); S.Write ("hi", S.K max_int);
+                S.Set ("x", S.K (-(1 lsl 40))) ]
+            ~label:"write" 1 ];
+      p_crash_budget = 0;
+      p_clock_max = 0 }
+  in
+  let model = Pr.compile spec in
+  let init = Pr.init model in
+  let st =
+    match Pr.successors model init with
+    | [ (_, "write", st) ] -> st
+    | _ -> Alcotest.fail "one write transition"
+  in
+  check_round_trip model init;
+  check_round_trip model st;
+  let back = Pr.of_key model (Pr.key model st) in
+  Alcotest.(check (list int)) "decoded shared words"
+    [ -5; (1 lsl 21) + 3; min_int; max_int ]
+    (List.map (Pr.shared model back) [ "neg"; "big"; "lo"; "hi" ]);
+  Alcotest.(check int) "decoded local" (-(1 lsl 40)) (Pr.local model back "writer" "x");
+  (* Ten words: 4 shared, pc, local, status, wake, clk, cr. *)
+  Alcotest.(check int) "one byte per small word" 10 (String.length (Pr.key model init));
+  (* -5: 1 byte; 2^21+3: 4; min_int, max_int: 9 each; -(2^40): 6;
+     five one-byte words. *)
+  Alcotest.(check int) "multi-byte words" 34 (String.length (Pr.key model st));
+  Alcotest.check_raises "truncated key rejected"
+    (Invalid_argument "Protocol.of_key: truncated key") (fun () ->
+      ignore (Pr.of_key model (String.sub (Pr.key model st) 0 33)));
+  Alcotest.check_raises "trailing bytes rejected"
+    (Invalid_argument "Protocol.of_key: trailing bytes") (fun () ->
+      ignore (Pr.of_key model (Pr.key model st ^ "\000")));
+  let r =
+    P.check model
+      (Pr.Safety { q_name = "none"; q_desc = ""; q_bad = (fun _ _ -> None) })
+  in
+  Alcotest.(check (pair int int)) "checker explores both states" (2, 1) (r.P.r_states, r.P.r_edges)
 
 (* -- model well-formedness: random walks stay safe and replay -- *)
 
@@ -208,4 +326,7 @@ let suite =
       test_conformance_real_swap_log;
     Alcotest.test_case "counterexamples lower to confirmed witnesses" `Slow
       test_lowerings_confirmed;
+    Alcotest.test_case "max_states bound is inclusive" `Quick test_max_states_bound;
+    Alcotest.test_case "keys round-trip and are canonical" `Quick test_key_round_trip;
+    Alcotest.test_case "keys encode wide and negative words" `Quick test_key_wide_words;
   ]
