@@ -3,7 +3,7 @@ type 'obs t = {
   obj_kind : string;
   mutable registry_id : int;
   sensor : 'obs Sensor.t;
-  mutable policy : 'obs Policy.t;
+  policy : 'obs Policy.t;
   scratch : Butterfly.Memory.addr;
   mutable policy_run_count : int;
   mutable adaptation_count : int;
@@ -51,7 +51,6 @@ let tick t =
 
 let feed t obs = decide t obs
 let poll t = decide t (Sensor.force t.sensor)
-let set_policy t p = t.policy <- p
 let samples t = Sensor.samples_taken t.sensor
 let policy_runs t = t.policy_run_count
 let adaptations t = t.adaptation_count
@@ -69,14 +68,20 @@ let stats t =
     log = log t;
   }
 
-let create ?(name = "adaptive-object") ?(kind = "object") ?spec ~home ~sensor ~policy
-    () =
+let create ~spec ~home ~sensor ~read ~apply ~metric () =
+  (match Policy.Spec.validate spec with
+  | [] -> ()
+  | errs ->
+    invalid_arg
+      (Printf.sprintf "Adaptive.create %s: %s" spec.Policy.Spec.s_name
+         (String.concat "; " errs)));
+  let policy = Policy.Spec.compile spec ~read ~apply ~metric in
   let scratch = Butterfly.Ops.alloc1 ~node:home () in
   Butterfly.Ops.mark_sync_words [| scratch |];
   let t =
     {
-      obj_name = name;
-      obj_kind = kind;
+      obj_name = spec.Policy.Spec.s_name;
+      obj_kind = spec.s_kind;
       registry_id = -1;
       sensor;
       policy;
@@ -89,9 +94,8 @@ let create ?(name = "adaptive-object") ?(kind = "object") ?spec ~home ~sensor ~p
     }
   in
   t.registry_id <-
-    Registry.register ~name ~kind
+    Registry.register ~spec
       ~stats:(fun () -> stats t)
       ~subscribe:(fun f -> subscribe t f)
-      ~drive:(fun () -> poll t)
-      ?spec ();
+      ~drive:(fun () -> poll t);
   t

@@ -1,7 +1,7 @@
 (** The adaptive-object feedback loop: monitor -> policy -> reconfigure.
 
     An ['obs t] ties together a {!Sensor} (the built-in monitor
-    module), a {!Policy} (user-provided adaptation policy) and the
+    module), a {!Policy.Spec} (user-provided adaptation policy) and the
     reconfiguration mechanism (the decision's [apply] closure, charged
     per its declared {!Cost} at the object's home node). The loop is
     {b closely coupled}: {!tick} is called from within the object's own
@@ -25,22 +25,23 @@
 type 'obs t
 
 val create :
-  ?name:string ->
-  ?kind:string ->
-  ?spec:Policy.Spec.t ->
+  spec:Policy.Spec.t ->
   home:int ->
   sensor:'obs Sensor.t ->
-  policy:'obs Policy.t ->
+  read:(unit -> int) ->
+  apply:(int -> bool) ->
+  metric:('obs -> int) ->
   unit ->
   'obs t
-(** Must run inside a simulation: allocates the scratch word used to
-    charge reconfiguration costs at [home]. [kind] names the object
-    family for the registry and annotations (["lock"], ["barrier"],
-    ...; default ["object"]). The new loop registers itself in
-    {!Registry}; [spec] — the declarative policy spec the running
-    policy was compiled from — lets the registry formally check the
-    recorded adaptation log against the declared configuration space
-    ({!Registry.validate_log}). *)
+(** The only way to build a feedback loop: [spec] is compiled with
+    [read], [apply] and [metric] ({!Policy.Spec.compile}), and its
+    [s_name] and [s_kind] name the loop in the registry and in
+    annotations. Raises [Invalid_argument] when {!Policy.Spec.validate}
+    reports an error. Must run inside a simulation: allocates the
+    scratch word used to charge reconfiguration costs at [home]. The
+    new loop registers itself, with its spec, in {!Registry}, which
+    formally checks the recorded adaptation log against the spec's
+    configuration space ({!Registry.validate_log}). *)
 
 val name : 'obs t -> string
 val kind : 'obs t -> string
@@ -66,8 +67,6 @@ val poll : 'obs t -> bool
 (** Force one full sense-decide cycle regardless of the sensor's
     period (the registry's [drive] hook; what [Monitor_thread] uses to
     drive arbitrary registered objects). *)
-
-val set_policy : 'obs t -> 'obs Policy.t -> unit
 
 val samples : 'obs t -> int
 (** Samples actually taken by the sensor via this loop. *)

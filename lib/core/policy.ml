@@ -5,22 +5,6 @@ type decision =
 type 'obs t = 'obs -> decision
 type 'obs policy = 'obs t
 
-let no_op _ = No_change
-
-let reconfigure ~label ?(cost = Cost.reads_writes 1 1) apply =
-  Reconfigure
-    {
-      label;
-      cost;
-      apply =
-        (fun () ->
-          apply ();
-          true);
-    }
-
-let reconfigure_checked ~label ?(cost = Cost.reads_writes 1 1) apply =
-  Reconfigure { label; cost; apply }
-
 module Guard = struct
   type params = { clamp_max : int; pathological_limit : int; cooldown : int }
 
@@ -55,10 +39,6 @@ module Guard = struct
       t.streak <- 0;
       false
     end
-
-  let of_params (p : params) =
-    if p.clamp_max < 0 then invalid_arg "Policy.Guard.of_params";
-    create ~pathological_limit:p.pathological_limit ~cooldown:p.cooldown ()
 
   let streak t = t.streak
   let fallbacks t = t.fallbacks
@@ -178,7 +158,7 @@ module Spec = struct
       | None -> ()));
     List.rev !errs
 
-  let compile ?guard_state ~read ~apply ~metric spec =
+  let compile ~read ~apply ~metric spec =
     let ts = Array.of_list spec.s_transitions in
     let counters = Array.make (max 1 (Array.length ts)) 0 in
     let last_cfg = ref None in
@@ -186,13 +166,7 @@ module Spec = struct
       match spec.s_guard with
       | None -> None
       | Some g ->
-        let state =
-          match guard_state with
-          | Some s -> s
-          | None ->
-            Guard.create ~pathological_limit:g.g_limit ~cooldown:g.g_cooldown ()
-        in
-        Some (g, state)
+        Some (g, Guard.create ~pathological_limit:g.g_limit ~cooldown:g.g_cooldown ())
     in
     let reset_all () = Array.fill counters 0 (Array.length counters) 0 in
     let fire i (tr : transition) =

@@ -2,10 +2,12 @@
 
     A policy is the user-provided component of an adaptive object: it
     consumes an observation from the monitor module and decides whether
-    (and how) to reconfigure. A decision carries the reconfiguration
-    closure (the paper's Psi operation) together with its declared
-    {!Cost.t}, which the feedback loop charges at the object's home
-    node when applying it. *)
+    (and how) to reconfigure. Every policy is declared as a {!Spec.t}
+    and run as its {!Spec.compile}d form, which [Adaptive.create]
+    builds. A decision carries the reconfiguration closure (the
+    paper's Psi operation) together with its declared {!Cost.t},
+    which the feedback loop charges at the object's home node when
+    applying it. *)
 
 type decision =
   | No_change
@@ -22,21 +24,6 @@ type 'obs t = 'obs -> decision
 type 'obs policy = 'obs t
 (** Alias so submodules (e.g. {!Spec}) can name the closure form. *)
 
-val no_op : 'obs t
-(** Never reconfigures (turns an adaptive object into a merely
-    monitored one — the baseline in overhead ablations). *)
-
-val reconfigure : label:string -> ?cost:Cost.t -> (unit -> unit) -> decision
-(** Convenience constructor for an apply that always takes effect;
-    [cost] defaults to the paper's simple waiting-policy
-    reconfiguration, 1R 1W. *)
-
-val reconfigure_checked :
-  label:string -> ?cost:Cost.t -> (unit -> bool) -> decision
-(** Like {!reconfigure} for an apply that can fail (e.g. an external
-    agent that must first win attribute ownership) and reports whether
-    it took effect. *)
-
 (** Guardrail state machine usable by any adaptive object: count
     consecutive pathological observations, order a fallback after a
     streak, then suspend counting for a cooldown (hysteresis, so the
@@ -49,8 +36,7 @@ module Guard : sig
     cooldown : int;  (** samples with pathology counting suspended after a fallback *)
   }
   (** The guardrail knobs an adaptive lock takes as [?guardrail]: the
-      lock turns them into its [Spec.guard_spec] and into the
-      {!t} it passes to {!Spec.compile} as [guard_state]. *)
+      lock turns them into its [Spec.guard_spec]. *)
 
   type t
 
@@ -59,10 +45,6 @@ module Guard : sig
       fallback; counting suspended for the following 8. Raises
       [Invalid_argument] when [pathological_limit <= 0] or
       [cooldown < 0]. *)
-
-  val of_params : params -> t
-  (** {!create} from [params]; also raises [Invalid_argument] when
-      [clamp_max < 0]. *)
 
   val note : t -> pathological:bool -> bool
   (** Record one observation's verdict; [true] orders a fallback. *)
@@ -185,7 +167,6 @@ module Spec : sig
       faults...) live in [Analysis.Policy_check]. *)
 
   val compile :
-    ?guard_state:Guard.t ->
     read:(unit -> int) ->
     apply:(int -> bool) ->
     metric:('obs -> int) ->
@@ -205,7 +186,7 @@ module Spec : sig
       counter itself resets only when the fired apply reports
       success, so a no-op apply retries at the next enabled sample.
 
-      [guard_state] shares an externally owned {!Guard.t} (so the
-      object can report its streaks and fallbacks); by default the
-      guard state is created from the spec. *)
+      The compiled policy owns its {!Guard.t}, created from [s_guard];
+      its fallbacks show in the loop's adaptation log under
+      [g_fallback_label]. *)
 end

@@ -14,17 +14,15 @@ type metrics = {
   name : string;
   kind : string;
   stats : stats;
-  spec : Policy.Spec.t option;
+  spec : Policy.Spec.t;
 }
 
 type entry = {
   e_id : int;
-  e_name : string;
-  e_kind : string;
+  e_spec : Policy.Spec.t;
   e_stats : unit -> stats;
   e_subscribe : (event -> unit) -> unit;
-  e_drive : (unit -> bool) option;
-  e_spec : Policy.Spec.t option;
+  e_drive : unit -> bool;
 }
 
 (* Per-domain state, like [Ops.annotations_flag]: each simulation runs
@@ -51,13 +49,12 @@ let reset () =
    remember to do it. *)
 let () = Butterfly.Sched.at_run_start reset
 
-let register ~name ~kind ~stats ?(subscribe = fun _ -> ()) ?drive ?spec () =
+let register ~spec ~stats ~subscribe ~drive =
   let st = state () in
   let id = st.next_id in
   st.next_id <- id + 1;
   st.entries <-
-    { e_id = id; e_name = name; e_kind = kind; e_stats = stats;
-      e_subscribe = subscribe; e_drive = drive; e_spec = spec }
+    { e_id = id; e_spec = spec; e_stats = stats; e_subscribe = subscribe; e_drive = drive }
     :: st.entries;
   id
 
@@ -67,14 +64,13 @@ let size () = List.length (state ()).entries
 let snapshot () =
   List.map
     (fun e ->
-      { id = e.e_id; name = e.e_name; kind = e.e_kind; stats = e.e_stats ();
-        spec = e.e_spec })
+      { id = e.e_id; name = e.e_spec.Policy.Spec.s_name; kind = e.e_spec.s_kind;
+        stats = e.e_stats (); spec = e.e_spec })
     (entries ())
 
 (* Formal check (§3.1) of the recorded Ψ log against the declared
-   configuration space; [None] when the object declared no spec. *)
-let validate_log m =
-  match m.spec with None -> None | Some spec -> Some (Formal.check_log spec m.stats.log)
+   configuration space. *)
+let validate_log m = Formal.check_log m.spec m.stats.log
 
 let subscribe_all f = List.iter (fun e -> e.e_subscribe f) (entries ())
 
@@ -86,22 +82,20 @@ let subscribe_from from f =
 let drive_all () =
   List.fold_left
     (fun n e ->
-      match e.e_drive with
-      | None -> n
-      | Some drive -> (
-        (* An external sweep races object-side agents for attribute
-           ownership; losing the race must skip this object, not take
-           down the driving thread. *)
-        match drive () with
-        | true -> n + 1
-        | false -> n
-        | exception Attribute.Not_owner _ -> n))
+      (* An external sweep races object-side agents for attribute
+         ownership; losing the race must skip this object, not take
+         down the driving thread. *)
+      match e.e_drive () with
+      | true -> n + 1
+      | false -> n
+      | exception Attribute.Not_owner _ -> n)
     0 (entries ())
 
 (* -- deterministic JSON (hand-rolled, like Chaos.to_json: stable
    bytes, no host state) -- *)
 
 let metrics_json m =
+  let verdict = validate_log m in
   let log =
     String.concat ", "
       (List.map
@@ -126,15 +120,9 @@ let metrics_json m =
         | None -> "null"
         | Some l -> Engine.Json.quote l);
       Printf.sprintf "      \"log\": [%s]" log;
-      Printf.sprintf "      \"policy_valid\": %s"
-        (match validate_log m with
-        | None -> "null"
-        | Some (Ok ()) -> "true"
-        | Some (Error _) -> "false");
+      Printf.sprintf "      \"policy_valid\": %b" (Result.is_ok verdict);
       Printf.sprintf "      \"policy_violation\": %s"
-        (match validate_log m with
-        | Some (Error why) -> Engine.Json.quote why
-        | None | Some (Ok ()) -> "null");
+        (match verdict with Error why -> Engine.Json.quote why | Ok () -> "null");
     ]
 
 let to_json ms =

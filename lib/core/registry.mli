@@ -14,8 +14,7 @@
     [--domains] count. The registry resets itself at the start of
     every [Sched.run] (via [Sched.at_run_start]), so entries never
     leak from a finished run into the next one on the same domain;
-    {!reset} remains available for host-side tests that register
-    synthetic entries outside a run. *)
+    {!reset} also empties it mid-run. *)
 
 type event = {
   at : int;  (** virtual time of the reconfiguration *)
@@ -41,32 +40,29 @@ type metrics = {
   name : string;
   kind : string;
   stats : stats;
-  spec : Policy.Spec.t option;
-      (** the declared adaptation-policy spec, when the object supplied
-          one at registration — what {!validate_log} checks the
-          recorded log against *)
+  spec : Policy.Spec.t;
+      (** the declared adaptation-policy spec — what {!validate_log}
+          checks the recorded log against *)
 }
-(** [id] is the registration ordinal within the current run. *)
+(** [id] is the registration ordinal within the current run; [name]
+    and [kind] are the spec's [s_name] and [s_kind]. *)
 
 val reset : unit -> unit
 (** Forget every registered object on the calling domain. Runs
     automatically at the start of every [Sched.run]. *)
 
 val register :
-  name:string ->
-  kind:string ->
+  spec:Policy.Spec.t ->
   stats:(unit -> stats) ->
-  ?subscribe:((event -> unit) -> unit) ->
-  ?drive:(unit -> bool) ->
-  ?spec:Policy.Spec.t ->
-  unit ->
+  subscribe:((event -> unit) -> unit) ->
+  drive:(unit -> bool) ->
   int
-(** Register an object; returns its registry id. [stats] is consulted
-    lazily at snapshot time. [subscribe] lets {!subscribe_all} attach
-    adaptation-event hooks; [drive] (when given) forces one
-    sense-decide cycle — {!drive_all} uses it so a monitoring thread
-    can run every loosely-drivable object. Called by
-    [Adaptive.create]; most clients never call this directly. *)
+(** Register an object under its spec's name and kind; returns its
+    registry id. [stats] is consulted lazily at snapshot time.
+    [subscribe] lets {!subscribe_all} attach adaptation-event hooks;
+    [drive] forces one sense-decide cycle — {!drive_all} uses it so a
+    monitoring thread can run every registered object. Called by
+    [Adaptive.create]; clients never call this directly. *)
 
 val size : unit -> int
 
@@ -74,11 +70,10 @@ val snapshot : unit -> metrics list
 (** Current metrics of every registered object, in registration
     order. *)
 
-val validate_log : metrics -> (unit, string) result option
+val validate_log : metrics -> (unit, string) result
 (** {!Formal.check_log} of the object's recorded adaptation log
-    against its declared spec's configuration space ([None] when the
-    object registered without a spec). Surfaced per object in
-    {!to_json} as [policy_valid] / [policy_violation] — how
+    against its declared spec's configuration space. Surfaced per
+    object in {!to_json} as [policy_valid] / [policy_violation] — how
     [repro objects] reports protocol-level log violations. *)
 
 val subscribe_all : (event -> unit) -> unit
@@ -93,7 +88,7 @@ val subscribe_from : int -> (event -> unit) -> int
     without double-subscribing). *)
 
 val drive_all : unit -> int
-(** Force one sense-decide cycle on every drivable object; returns how
+(** Force one sense-decide cycle on every object; returns how
     many applied a reconfiguration. An object whose drive raises
     {!Attribute.Not_owner} (an external agent concurrently holds its
     attributes) is skipped for this sweep rather than letting the

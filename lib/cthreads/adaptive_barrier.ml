@@ -2,7 +2,6 @@ open Butterfly
 module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
-module Policy = Adaptive_core.Policy
 
 type observation = { spread_ns : int; budget_ns : int }
 
@@ -58,37 +57,40 @@ let create ?node ?(name = "adaptive-barrier") ?(period = 1) ?(spin_if_under = 80
   let words = Ops.alloc ?node 2 in
   Ops.mark_sync_words words;
   let home = match node with Some p -> p | None -> Ops.my_processor () in
-  let rec t =
-    lazy
-      {
-        mutex = Spin.create ?node ();
-        parties = n;
-        count = words.(0);
-        gen = words.(1);
-        sleepers = [];
-        first_arrival = 0;
-        last_spread = 0;
-        spin_ns = Attribute.make_at ~name:"arrival-spin-ns" ~node:home 0;
-        loop =
-          Adaptive.create ~name ~kind:"barrier"
-            ~spec:(policy_spec ~name ~spin_if_under ~block_if_over ~max_spin_ns ())
-            ~home
-            ~sensor:
-              (Sensor.make ~name:"arrival-spread" ~period (fun () ->
-                   let b = Lazy.force t in
-                   { spread_ns = b.last_spread; budget_ns = Attribute.get b.spin_ns }))
-            ~policy:
-              (Policy.Spec.compile
-                 (policy_spec ~name ~spin_if_under ~block_if_over ~max_spin_ns ())
-                 ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)
-                 ~apply:(fun v ->
-                   Attribute.set (Lazy.force t).spin_ns v;
-                   true)
-                 ~metric:(fun obs -> obs.spread_ns))
-            ();
-      }
+  (* The loop's scratch word is allocated before the budget attribute
+     and the mutex, so its closures reach the barrier through [self],
+     set once the barrier exists. *)
+  let self = ref None in
+  let b () = Option.get !self in
+  let loop =
+    Adaptive.create
+      ~spec:(policy_spec ~name ~spin_if_under ~block_if_over ~max_spin_ns ())
+      ~home
+      ~sensor:
+        (Sensor.make ~name:"arrival-spread" ~period (fun () ->
+             { spread_ns = (b ()).last_spread; budget_ns = Attribute.get (b ()).spin_ns }))
+      ~read:(fun () -> Attribute.get (b ()).spin_ns)
+      ~apply:(fun v ->
+        Attribute.set (b ()).spin_ns v;
+        true)
+      ~metric:(fun obs -> obs.spread_ns) ()
   in
-  Lazy.force t
+  let spin_ns = Attribute.make_at ~name:"arrival-spin-ns" ~node:home 0 in
+  let t =
+    {
+      mutex = Spin.create ?node ();
+      parties = n;
+      count = words.(0);
+      gen = words.(1);
+      sleepers = [];
+      first_arrival = 0;
+      last_spread = 0;
+      spin_ns;
+      loop;
+    }
+  in
+  self := Some t;
+  t
 
 let spin_then_block t my_gen =
   (* Spin phase: poll the generation word up to the current budget.

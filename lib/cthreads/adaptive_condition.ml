@@ -2,7 +2,6 @@ open Butterfly
 module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
-module Policy = Adaptive_core.Policy
 
 type observation = { waiting : int; broadcast : bool }
 
@@ -71,37 +70,32 @@ let create ?node ?(name = "adaptive-condition") ?(period = 2) ?(broadcast_over =
   let signal_seq = Ops.alloc1 ?node () in
   Ops.mark_sync_words [| signal_seq |];
   let home = match node with Some p -> p | None -> Ops.my_processor () in
-  let rec t =
-    lazy
-      {
-        guard = Spin.create ?node ();
-        sleepers = [];
-        signal_seq;
-        spin_ns = Attribute.make_at ~name:"wait-spin-ns" ~node:home 0;
-        broadcast_hint = Attribute.make_at ~name:"broadcast-hint" ~node:home false;
-        loop =
-          Adaptive.create ~name ~kind:"condition"
-            ~spec:(policy_spec ~name ~broadcast_over ()) ~home
-            ~sensor:
-              (Sensor.make ~name:"waiting-at-signal" ~period (fun () ->
-                   let c = Lazy.force t in
-                   {
-                     waiting = List.length c.sleepers;
-                     broadcast = Attribute.get c.broadcast_hint;
-                   }))
-            ~policy:
-              (Policy.Spec.compile
-                 (policy_spec ~name ~broadcast_over ())
-                 ~read:(fun () ->
-                   if Attribute.get (Lazy.force t).broadcast_hint then 1 else 0)
-                 ~apply:(fun v ->
-                   Attribute.set (Lazy.force t).broadcast_hint (v = 1);
-                   true)
-                 ~metric:(fun obs -> obs.waiting))
-            ();
-      }
+  (* The loop's scratch word is allocated before the attributes and
+     the guard, so its closures reach the condition through [self],
+     set once the condition exists. *)
+  let self = ref None in
+  let c () = Option.get !self in
+  let loop =
+    Adaptive.create ~spec:(policy_spec ~name ~broadcast_over ()) ~home
+      ~sensor:
+        (Sensor.make ~name:"waiting-at-signal" ~period (fun () ->
+             {
+               waiting = List.length (c ()).sleepers;
+               broadcast = Attribute.get (c ()).broadcast_hint;
+             }))
+      ~read:(fun () -> if Attribute.get (c ()).broadcast_hint then 1 else 0)
+      ~apply:(fun v ->
+        Attribute.set (c ()).broadcast_hint (v = 1);
+        true)
+      ~metric:(fun obs -> obs.waiting) ()
   in
-  Lazy.force t
+  let broadcast_hint = Attribute.make_at ~name:"broadcast-hint" ~node:home false in
+  let spin_ns = Attribute.make_at ~name:"wait-spin-ns" ~node:home 0 in
+  let t =
+    { guard = Spin.create ?node (); sleepers = []; signal_seq; spin_ns; broadcast_hint; loop }
+  in
+  self := Some t;
+  t
 
 let wait t mu =
   Spin.lock t.guard;

@@ -2,7 +2,6 @@ open Butterfly
 module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
-module Policy = Adaptive_core.Policy
 
 type observation = { waiting : int; budget_ns : int }
 
@@ -43,35 +42,27 @@ let create ?node ?(name = "adaptive-semaphore") ?(period = 2) ?(block_over = 2) 
   Ops.mark_sync_words [| permits |];
   Ops.write permits n;
   let home = match node with Some p -> p | None -> Ops.my_processor () in
-  let rec t =
-    lazy
-      {
-        mutex = Spin.create ?node ();
-        permits;
-        waiters = Queue.create ();
-        spin_ns = Attribute.make_at ~name:"acquire-spin-ns" ~node:home 0;
-        loop =
-          Adaptive.create ~name ~kind:"semaphore"
-            ~spec:(policy_spec ~name ~block_over ()) ~home
-            ~sensor:
-              (Sensor.make ~name:"waiting-at-release" ~period (fun () ->
-                   let s = Lazy.force t in
-                   {
-                     waiting = Queue.length s.waiters;
-                     budget_ns = Attribute.get s.spin_ns;
-                   }))
-            ~policy:
-              (Policy.Spec.compile
-                 (policy_spec ~name ~block_over ())
-                 ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)
-                 ~apply:(fun v ->
-                   Attribute.set (Lazy.force t).spin_ns v;
-                   true)
-                 ~metric:(fun obs -> obs.waiting))
-            ();
-      }
+  (* The loop's scratch word is allocated before the budget attribute
+     and the mutex, so its closures reach the budget through [self],
+     set once the semaphore exists. *)
+  let self = ref None in
+  let spin_ns () = (Option.get !self).spin_ns in
+  let waiters = Queue.create () in
+  let loop =
+    Adaptive.create ~spec:(policy_spec ~name ~block_over ()) ~home
+      ~sensor:
+        (Sensor.make ~name:"waiting-at-release" ~period (fun () ->
+             { waiting = Queue.length waiters; budget_ns = Attribute.get (spin_ns ()) }))
+      ~read:(fun () -> Attribute.get (spin_ns ()))
+      ~apply:(fun v ->
+        Attribute.set (spin_ns ()) v;
+        true)
+      ~metric:(fun obs -> obs.waiting) ()
   in
-  Lazy.force t
+  let spin_ns = Attribute.make_at ~name:"acquire-spin-ns" ~node:home 0 in
+  let t = { mutex = Spin.create ?node (); permits; waiters; spin_ns; loop } in
+  self := Some t;
+  t
 
 (* One locked attempt at taking a permit. *)
 let try_take t =

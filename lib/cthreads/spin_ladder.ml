@@ -16,7 +16,7 @@ let ladder ~step_up ~step_down init =
 
 (* Transitions mirror the pre-IR closures exactly: per config the
    spin-more step is tried first (the old if/else-if order), each step
-   costs one read + one write (the [Policy.reconfigure] default), and a
+   costs one read + one write, and a
    step that would not move the budget is omitted rather than emitted
    as a self-loop. *)
 let spec ~name ~kind ~attribute ~metric ~spin_if_under ~block_if_over ~step_up

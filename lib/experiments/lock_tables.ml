@@ -129,11 +129,10 @@ let table6 ?domains () =
 
 let table7 () =
   let adaptive_configured configure ~home =
-    (* An adaptive lock pinned to one configuration: the no-op policy
-       keeps the feedback loop from re-tuning it mid-measurement. *)
-    let al =
-      Locks.Adaptive_lock.create ~home ~policy:Adaptive_core.Policy.no_op ()
-    in
+    (* An adaptive lock pinned to one configuration: the measurement
+       unlocks through the reconfigurable lock, so the feedback loop
+       never ticks to re-tune it. *)
+    let al = Locks.Adaptive_lock.create ~home () in
     let r = Locks.Adaptive_lock.reconfigurable al in
     configure r;
     `Reconf r

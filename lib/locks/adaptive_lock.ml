@@ -14,8 +14,7 @@ type t = {
   reconf : Reconfigurable_lock.t;
   loop : int Adaptive.t;
   spec : Policy.Spec.t;
-  mutable spins : int;
-  guard : Policy.Guard.t option;
+  spins : int ref;
 }
 
 let mode_of ~cap v =
@@ -38,6 +37,10 @@ let configure_waiting (p : params) (policy : Waiting.t) spins =
     Attribute.set policy.Waiting.spin_count spins;
     Attribute.set policy.Waiting.sleep true
   end
+
+let initial_waiting (p : params) ~node spins =
+  if spins >= p.spin_cap then Waiting.pure_spin ~node ()
+  else Waiting.combined ~node ~spins ()
 
 (* The guardrail half of the policy spec: clamp observations into
    [0, clamp_max], treat "budget wedged at pure blocking while waiters
@@ -119,14 +122,11 @@ let policy_spec ?(params = default_params) ?guardrail ?(name = "adaptive-lock") 
     s_guard = Option.map (fun guardrail -> guard_spec ~params ~guardrail ~init) guardrail;
   }
 
-let create ?name ?trace ?sched ?(params = default_params) ?policy ?guardrail ~home () =
-  let name = match name with Some n -> n | None -> "adaptive-lock" in
+let create ?(name = "adaptive-lock") ?trace ?sched ?(params = default_params) ?guardrail
+    ~home () =
   let spec = policy_spec ~params ?guardrail ~name () in
-  (* A caller-supplied policy replaces simple-adapt (and its guard). *)
-  let guard =
-    match policy with Some _ -> None | None -> Option.map Policy.Guard.of_params guardrail
-  in
-  let waiting = Waiting.combined ~node:home ~spins:params.n () in
+  let spins = ref spec.Policy.Spec.s_initial in
+  let waiting = initial_waiting params ~node:home !spins in
   let reconf = Reconfigurable_lock.create ~name ?trace ?sched ~policy:waiting ~home () in
   let core = Reconfigurable_lock.core reconf in
   let sensor =
@@ -134,31 +134,17 @@ let create ?name ?trace ?sched ?(params = default_params) ?policy ?guardrail ~ho
       ~overhead_instrs:40
       (fun () -> Lock_core.waiting_now core)
   in
-  (* The spec describes the default (possibly guardrailed) simple-adapt
-     policies; a caller-supplied policy is opaque, so no spec — the
-     registry then skips the formal log check rather than judging the
-     log against a space it does not follow. *)
   let loop =
-    Adaptive.create ~name ~kind:"lock"
-      ?spec:(match policy with Some _ -> None | None -> Some spec)
-      ~home ~sensor ~policy:Policy.no_op ()
+    Adaptive.create ~spec ~home ~sensor
+      ~read:(fun () -> !spins)
+      ~apply:(fun v ->
+        spins := v;
+        configure_waiting params (Lock_core.policy core) v;
+        Lock_stats.on_reconfigure (Reconfigurable_lock.stats reconf);
+        true)
+      ~metric:Fun.id ()
   in
-  let t = { reconf; loop; spec; spins = spec.Policy.Spec.s_initial; guard } in
-  let policy =
-    match policy with
-    | Some p -> p
-    | None ->
-      Policy.Spec.compile spec ?guard_state:guard
-        ~read:(fun () -> t.spins)
-        ~apply:(fun v ->
-          t.spins <- v;
-          configure_waiting params (Lock_core.policy core) v;
-          Lock_stats.on_reconfigure (Reconfigurable_lock.stats reconf);
-          true)
-        ~metric:(fun (waiting : int) -> waiting)
-  in
-  Adaptive.set_policy loop policy;
-  t
+  { reconf; loop; spec; spins }
 
 let lock t = Reconfigurable_lock.lock t.reconf
 let try_lock t = Reconfigurable_lock.try_lock t.reconf
@@ -175,8 +161,7 @@ let name t = Reconfigurable_lock.name t.reconf
 let stats t = Reconfigurable_lock.stats t.reconf
 let reconfigurable t = t.reconf
 let feedback t = t.loop
-let spins_now t = t.spins
-let mode t = Policy.Spec.config_name t.spec t.spins
+let spins_now t = !(t.spins)
+let mode t = Policy.Spec.config_name t.spec !(t.spins)
 let adaptations t = Adaptive.adaptations t.loop
 let samples t = Adaptive.samples t.loop
-let guardrail t = t.guard

@@ -43,27 +43,27 @@ val create :
   ?trace:bool ->
   ?sched:Lock_sched.kind ->
   ?params:params ->
-  ?policy:int Adaptive_core.Policy.t ->
   ?guardrail:Adaptive_core.Policy.Guard.params ->
   home:int ->
   unit ->
   t
-(** [policy] (observations are waiting-thread counts) replaces
-    [simple-adapt] entirely when given — this is the "user-provided
-    adaptation policy" hook. The lock starts in the combined
-    configuration with [n] spins.
+(** The lock's feedback loop runs {!policy_spec} (the paper's
+    [simple-adapt] for [params]), built by
+    [Adaptive_core.Adaptive.create]. The lock starts in the spec's
+    initial configuration, the budget [min n spin_cap]: pure spin at
+    the cap, combined with that many spins below it.
 
-    [guardrail] (ignored when [policy] is given) adds a guard to the
-    compiled spec: observations are clamped into [\[0, clamp_max\]],
-    and a run of pathological samples — clamped ones, or waiters
-    piling past the threshold while the budget sits at pure blocking —
-    triggers a fallback to the default combined configuration (charged
-    as one reconfiguration) instead of wedging the budget at an
+    [guardrail] adds a guard to the spec: observations are clamped
+    into [\[0, clamp_max\]], and a run of pathological samples —
+    clamped ones, or waiters piling past the threshold while the
+    budget sits at pure blocking — triggers a fallback to the initial
+    configuration (charged as one reconfiguration, logged as
+    ["guardrail-fallback"]) instead of wedging the budget at an
     extreme. Off by default.
 
     Raises [Invalid_argument] when [waiting_threshold < 0], [n <= 0]
-    or [spin_cap <= 0], or when a [guardrail] used by the policy has
-    [clamp_max < 0], [pathological_limit <= 0] or [cooldown < 0]. *)
+    or [spin_cap <= 0], or when [guardrail] has [clamp_max < 0],
+    [pathological_limit <= 0] or [cooldown < 0]. *)
 
 val lock : t -> unit
 val try_lock : t -> bool
@@ -94,10 +94,6 @@ val mode : t -> string
 val adaptations : t -> int
 val samples : t -> int
 
-val guardrail : t -> Adaptive_core.Policy.Guard.t option
-(** The guard state the compiled policy runs, when a guardrail is
-    installed (for tests and reporting). *)
-
 val policy_spec :
   ?params:params ->
   ?guardrail:Adaptive_core.Policy.Guard.params ->
@@ -120,3 +116,10 @@ val configure_waiting : params -> Waiting.t -> int -> unit
     above, spin forever without sleeping; otherwise spin that many
     probes, then sleep. How every lock running {!policy_spec} applies
     a reconfiguration. *)
+
+val initial_waiting : params -> node:int -> int -> Waiting.t
+(** Fresh waiting attributes at [node] for a spin budget, as
+    {!configure_waiting} would set them (pure spin at [spin_cap] or
+    above, combined below), without charging the attribute writes: how
+    a lock running {!policy_spec} starts in the spec's initial
+    configuration. *)

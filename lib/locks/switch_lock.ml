@@ -95,7 +95,6 @@ type t = {
   mutable swap_rollbacks : int;
   mutable abandoned_recoveries : int;
   mutable loop : int Adaptive.t option;
-  mutable guard_state : Policy.Guard.t option;
   mutable probe : (int -> string -> unit) option;
       (* conformance instrumentation: one callback per protocol
          transition, labelled to match [Proto_models.quiescence] *)
@@ -118,7 +117,6 @@ let abandoned_recoveries t = t.abandoned_recoveries
 let hold_avg_ns t = t.hold_avg_ns
 let waiting_now t = Ops.read t.nwait
 let feedback t = t.loop
-let guardrail t = t.guard_state
 
 let profile t =
   match t.impl with
@@ -742,7 +740,6 @@ let create ?name ?trace ?(params = default_params) ?(guardrail = default_guardra
       swap_rollbacks = 0;
       abandoned_recoveries = 0;
       loop = None;
-      guard_state = None;
       probe = None;
       lock_stats = Lock_stats.create ?trace name;
     }
@@ -758,21 +755,13 @@ let create ?name ?trace ?(params = default_params) ?(guardrail = default_guardra
         ~overhead_instrs:40
         (fun () -> score t)
     in
-    let spec = policy_spec ~params ~guardrail ~name () in
-    let loop =
-      Adaptive.create ~name ~kind:"lock-impl" ~spec ~home ~sensor ~policy:Policy.no_op
-        ()
-    in
-    let guard_state = Policy.Guard.of_params guardrail in
-    t.guard_state <- Some guard_state;
-    let policy =
-      Policy.Spec.compile spec ~guard_state
-        ~read:(fun () -> impl_id t.impl)
-        ~apply:(fun v -> apply_impl t v)
-        ~metric:(fun (s : int) -> s)
-    in
-    Adaptive.set_policy loop policy;
-    t.loop <- Some loop);
+    t.loop <-
+      Some
+        (Adaptive.create
+           ~spec:(policy_spec ~params ~guardrail ~name ())
+           ~home ~sensor
+           ~read:(fun () -> impl_id t.impl)
+           ~apply:(apply_impl t) ~metric:Fun.id ()));
   t
 
 let adaptations t = match t.loop with Some l -> Adaptive.adaptations l | None -> 0

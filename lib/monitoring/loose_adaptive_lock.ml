@@ -9,7 +9,7 @@ type t = {
   ring : (int * int) Ring_buffer.t;
   monitor : (int * int) Monitor_thread.t;
   spec : Policy.Spec.t;
-  mutable spins : int;
+  spins : int ref;
   loop : int Adaptive.t;
   sample_period : int;
   mutable unlocks_until_sample : int;
@@ -21,15 +21,33 @@ let waiting_count reconf =
 let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
     ?ring_capacity ?poll_interval_ns ~home ~monitor_proc () =
   let spec = AL.policy_spec ~params ~name () in
-  let waiting = Locks.Waiting.combined ~node:home ~spins:params.AL.n () in
+  let spins = ref spec.Policy.Spec.s_initial in
+  let waiting = AL.initial_waiting params ~node:home !spins in
   let reconf = Locks.Reconfigurable_lock.create ~name ?trace ~policy:waiting ~home () in
   let ring = Ring_buffer.create ?capacity:ring_capacity ~home () in
+  (* The same spec as the closely-coupled lock; only [apply] differs.
+     An external agent must own the attributes to reconfigure them.
+     The budget advances even when it loses the ownership race (it
+     tracks the policy's intent), but nothing changed, so the attempt
+     does not count as an adaptation. *)
   let loop =
-    Adaptive.create ~name ~kind:"lock" ~spec ~home
+    Adaptive.create ~spec ~home
       ~sensor:
         (Sensor.make ~name:(name ^ ".no-of-waiting-threads") ~overhead_instrs:40
            (fun () -> waiting_count reconf))
-      ~policy:Policy.no_op ()
+      ~read:(fun () -> !spins)
+      ~apply:(fun v ->
+        spins := v;
+        if Locks.Reconfigurable_lock.acquire_ownership reconf then begin
+          AL.configure_waiting params
+            (Locks.Lock_core.policy (Locks.Reconfigurable_lock.core reconf))
+            v;
+          Locks.Lock_stats.on_reconfigure (Locks.Reconfigurable_lock.stats reconf);
+          Locks.Reconfigurable_lock.release_ownership reconf;
+          true
+        end
+        else false)
+      ~metric:Fun.id ()
   in
   (* The loosely-coupled feedback path: the monitor thread drains the
      ring and feeds each (possibly stale) observation to the loop. *)
@@ -39,39 +57,16 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
       ~deliver:(fun waiting -> ignore (Adaptive.feed loop waiting))
       ()
   in
-  let t =
-    {
-      reconf;
-      ring;
-      monitor;
-      spec;
-      spins = spec.Policy.Spec.s_initial;
-      loop;
-      sample_period = params.AL.sample_period;
-      unlocks_until_sample = params.AL.sample_period;
-    }
-  in
-  (* The same compiled spec as the closely-coupled lock; only [apply]
-     differs. An external agent must own the attributes to reconfigure
-     them. The budget advances even when it loses the ownership race
-     (it tracks the policy's intent), but nothing changed, so the
-     attempt does not count as an adaptation. *)
-  Adaptive.set_policy loop
-    (Policy.Spec.compile spec
-       ~read:(fun () -> t.spins)
-       ~apply:(fun v ->
-         t.spins <- v;
-         if Locks.Reconfigurable_lock.acquire_ownership reconf then begin
-           AL.configure_waiting params
-             (Locks.Lock_core.policy (Locks.Reconfigurable_lock.core reconf))
-             v;
-           Locks.Lock_stats.on_reconfigure (Locks.Reconfigurable_lock.stats reconf);
-           Locks.Reconfigurable_lock.release_ownership reconf;
-           true
-         end
-         else false)
-       ~metric:(fun (waiting : int) -> waiting));
-  t
+  {
+    reconf;
+    ring;
+    monitor;
+    spec;
+    spins;
+    loop;
+    sample_period = params.AL.sample_period;
+    unlocks_until_sample = params.AL.sample_period;
+  }
 
 let lock t = Locks.Reconfigurable_lock.lock t.reconf
 
@@ -90,4 +85,5 @@ let adaptations t = Adaptive.adaptations t.loop
 let observations_published t = Ring_buffer.published t.ring
 let observations_processed t = Monitor_thread.processed t.monitor
 let max_lag_ns t = Monitor_thread.max_lag_ns t.monitor
-let mode t = Policy.Spec.config_name t.spec t.spins
+let reconfigurable t = t.reconf
+let mode t = Policy.Spec.config_name t.spec !(t.spins)

@@ -35,6 +35,7 @@ val create :
 val lock : t -> unit
 val unlock : t -> unit
 val stats : t -> Locks.Lock_stats.t
+val reconfigurable : t -> Locks.Reconfigurable_lock.t
 
 val shutdown : t -> unit
 (** Stop and join the monitor thread (required before the simulation

@@ -198,22 +198,50 @@ let test_sensor_sampling_costs_time () =
   in
   Alcotest.(check int) "overhead charged" (Config.instrs cfg 100) !dt
 
+(* A two-configuration spec over values 0 and 1: [up] moves 0 -> 1
+   under [label]; [down] (condition, label), when given, moves back. *)
+let flip_spec ?(name = "obj") ?(kind = "object") ?(cost = Cost.reads_writes 1 1) ?down
+    ~label up =
+  let module Spec = Policy.Spec in
+  let tr from target cond label =
+    { Spec.t_from = from; t_cond = cond; t_target = target; t_label = label;
+      t_repeats = 1; t_cost = cost }
+  in
+  {
+    Spec.s_name = name;
+    s_kind = kind;
+    s_attribute = name ^ ".mode";
+    s_metric = "m";
+    s_monotone = Spec.Unordered;
+    s_configs = [ { Spec.c_name = "a"; c_value = 0 }; { Spec.c_name = "b"; c_value = 1 } ];
+    s_initial = 0;
+    s_transitions =
+      tr 0 1 up label
+      :: (match down with Some (cond, l) -> [ tr 1 0 cond l ] | None -> []);
+    s_guard = None;
+  }
+
 let test_feedback_loop_adapts () =
   let observed_modes = ref [] in
   let (_ : Sched.t) =
     run (fun () ->
         let level = ref 0 in
         let sensor = Sensor.make ~name:"level" ~period:2 ~overhead_instrs:0 (fun () -> !level) in
-        let mode = ref "idle" in
-        let policy obs =
-          let next = if obs > 5 then "busy" else "idle" in
-          if next = !mode then Policy.No_change
-          else
-            Policy.reconfigure ~label:next (fun () ->
-                mode := next;
-                observed_modes := next :: !observed_modes)
+        let mode = ref 0 in
+        (* idle (0) -> busy (1) above 5, back at 5 or below *)
+        let spec =
+          flip_spec ~label:"busy" (Policy.Spec.cond 6)
+            ~down:(Policy.Spec.cond 0 ~hi:5, "idle")
         in
-        let loop = Adaptive.create ~name:"obj" ~home:0 ~sensor ~policy () in
+        let loop =
+          Adaptive.create ~spec ~home:0 ~sensor
+            ~read:(fun () -> !mode)
+            ~apply:(fun v ->
+              mode := v;
+              observed_modes := (if v = 1 then "busy" else "idle") :: !observed_modes;
+              true)
+            ~metric:Fun.id ()
+        in
         (* ticks 1-4 at level 0 -> stays idle; raise level, ticks sample
            on even counts. *)
         for i = 1 to 8 do
@@ -236,11 +264,16 @@ let test_feedback_feed_bypasses_sensor () =
   let (_ : Sched.t) =
     run (fun () ->
         let sensor = Sensor.make ~name:"s" ~period:1000 ~overhead_instrs:0 (fun () -> 0) in
-        let policy obs =
-          if obs = 99 then Policy.reconfigure ~label:"x" (fun () -> adapted := true)
-          else Policy.No_change
+        let loop =
+          Adaptive.create
+            ~spec:(flip_spec ~label:"x" (Policy.Spec.cond 99 ~hi:99))
+            ~home:0 ~sensor
+            ~read:(fun () -> if !adapted then 1 else 0)
+            ~apply:(fun _ ->
+              adapted := true;
+              true)
+            ~metric:Fun.id ()
         in
-        let loop = Adaptive.create ~home:0 ~sensor ~policy () in
         ignore (Adaptive.feed loop 99);
         Alcotest.(check int) "no sensor samples" 0 (Adaptive.samples loop))
   in
@@ -251,11 +284,17 @@ let test_feedback_charges_cost () =
   let (_ : Sched.t) =
     run (fun () ->
         let sensor = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0) in
-        let policy _ =
-          Policy.Reconfigure
-            { label = "x"; cost = Cost.reads_writes 1 1; apply = (fun () -> true) }
+        let cur = ref 0 in
+        let loop =
+          Adaptive.create
+            ~spec:(flip_spec ~cost:(Cost.reads_writes 1 1) ~label:"x" (Policy.Spec.cond 0))
+            ~home:0 ~sensor
+            ~read:(fun () -> !cur)
+            ~apply:(fun v ->
+              cur := v;
+              true)
+            ~metric:Fun.id ()
         in
-        let loop = Adaptive.create ~home:0 ~sensor ~policy () in
         let t0 = Ops.now () in
         ignore (Adaptive.tick loop);
         dt := Ops.now () - t0;
@@ -276,9 +315,17 @@ let test_feedback_failed_apply_not_counted () =
         let sensor =
           Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0)
         in
-        let ok = ref false in
-        let policy _ = Policy.reconfigure_checked ~label:"maybe" (fun () -> !ok) in
-        let loop = Adaptive.create ~home:0 ~sensor ~policy () in
+        let ok = ref false and cur = ref 0 in
+        let loop =
+          Adaptive.create
+            ~spec:(flip_spec ~label:"maybe" (Policy.Spec.cond 0))
+            ~home:0 ~sensor
+            ~read:(fun () -> !cur)
+            ~apply:(fun v ->
+              if !ok then cur := v;
+              !ok)
+            ~metric:Fun.id ()
+        in
         Adaptive.subscribe loop (fun _ -> incr events);
         Alcotest.(check bool) "failed apply reports false" false (Adaptive.tick loop);
         Alcotest.(check int) "policy ran" 1 (Adaptive.policy_runs loop);
@@ -292,6 +339,56 @@ let test_feedback_failed_apply_not_counted () =
         Alcotest.(check int) "counted once" 1 (Adaptive.adaptations loop))
   in
   Alcotest.(check int) "subscribers saw only the applied one" 1 !events
+
+(* [Adaptive.create] is the one validation point: a spec that
+   [Spec.validate] rejects never becomes a loop. *)
+let test_create_validates_spec () =
+  let rejected = ref [] in
+  let (_ : Sched.t) =
+    run (fun () ->
+        let sensor = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0) in
+        let good = flip_spec ~label:"x" (Policy.Spec.cond 0) in
+        let guard =
+          {
+            Policy.Spec.g_clamp_lo = 0;
+            g_clamp_hi = 10;
+            g_wedge = None;
+            g_limit = 2;
+            g_cooldown = 1;
+            g_fallback = 0;
+            g_fallback_label = "fb";
+            g_fallback_cost = Cost.zero;
+          }
+        in
+        let create spec =
+          Adaptive.create ~spec ~home:0 ~sensor
+            ~read:(fun () -> 0)
+            ~apply:(fun _ -> true)
+            ~metric:Fun.id ()
+        in
+        let bad =
+          [
+            ("inverted clamp",
+              { good with s_guard = Some { guard with g_clamp_lo = 5; g_clamp_hi = 4 } });
+            ("unknown initial configuration", { good with s_initial = 7 });
+          ]
+        in
+        let before = Adaptive_core.Registry.size () in
+        List.iter
+          (fun (what, spec) ->
+            match create spec with
+            | _ -> ()
+            | exception Invalid_argument _ -> rejected := what :: !rejected)
+          bad;
+        Alcotest.(check int) "rejected specs never register" before
+          (Adaptive_core.Registry.size ());
+        ignore (create { good with s_guard = Some guard });
+        Alcotest.(check int) "a valid spec registers" (before + 1)
+          (Adaptive_core.Registry.size ()))
+  in
+  Alcotest.(check (list string)) "both rejected"
+    [ "inverted clamp"; "unknown initial configuration" ]
+    (List.rev !rejected)
 
 let suite =
   [
@@ -313,4 +410,5 @@ let suite =
     Alcotest.test_case "feedback charges cost" `Quick test_feedback_charges_cost;
     Alcotest.test_case "feedback failed apply" `Quick
       test_feedback_failed_apply_not_counted;
+    Alcotest.test_case "create validates spec" `Quick test_create_validates_spec;
   ]

@@ -120,21 +120,14 @@ let test_sched_kind_change_keeps_queue () =
    tests. *)
 
 module Spec = Adaptive_core.Policy.Spec
-module Guard = Adaptive_core.Policy.Guard
 
-type driven = {
-  spec : Spec.t;
-  spins : int ref;
-  guard : Guard.t option;
-  step : waiting:int -> string option;
-}
+type driven = { spec : Spec.t; spins : int ref; step : waiting:int -> string option }
 
 let drive_budget ?guardrail params =
   let spec = Locks.Adaptive_lock.policy_spec ~params ?guardrail () in
-  let guard = Option.map Guard.of_params guardrail in
   let spins = ref spec.Spec.s_initial in
   let policy =
-    Spec.compile spec ?guard_state:guard
+    Spec.compile spec
       ~read:(fun () -> !spins)
       ~apply:(fun v ->
         spins := v;
@@ -148,7 +141,7 @@ let drive_budget ?guardrail params =
       ignore (apply () : bool);
       Some label
   in
-  { spec; spins; guard; step }
+  { spec; spins; step }
 
 let budget_params =
   { Locks.Adaptive_lock.waiting_threshold = 3; n = 4; spin_cap = 16; sample_period = 1 }
@@ -201,6 +194,45 @@ let test_budget_apply_sets_attributes () =
         check_bool "sleep on" true (Adaptive_core.Attribute.get w.Locks.Waiting.sleep))
   in
   ()
+
+(* Both simple-adapt locks start in the spec's initial configuration,
+   budget [min n spin_cap]: the mode they report and the waiting
+   attributes they run agree at creation, at the cap, past it and
+   below it. *)
+let test_budget_initial_configuration () =
+  let describe reconf =
+    Locks.Waiting.describe (Locks.Lock_core.policy (Locks.Reconfigurable_lock.core reconf))
+  in
+  let seen = ref [] in
+  let (_ : Sched.t) =
+    run (fun () ->
+        List.iter
+          (fun n ->
+            let params =
+              { Locks.Adaptive_lock.waiting_threshold = 4; n; spin_cap = 32; sample_period = 2 }
+            in
+            let al = Locks.Adaptive_lock.create ~params ~home:0 () in
+            let loose =
+              Monitoring.Loose_adaptive_lock.create ~params ~home:1 ~monitor_proc:3 ()
+            in
+            seen :=
+              ( n,
+                (Locks.Adaptive_lock.mode al, describe (Locks.Adaptive_lock.reconfigurable al)),
+                ( Monitoring.Loose_adaptive_lock.mode loose,
+                  describe (Monitoring.Loose_adaptive_lock.reconfigurable loose) ) )
+              :: !seen;
+            Monitoring.Loose_adaptive_lock.shutdown loose)
+          [ 32; 40; 16 ])
+  in
+  let both x = (x, x) in
+  Alcotest.(check (list (triple int (pair string string) (pair string string))))
+    "mode and waiting attributes agree"
+    [
+      (32, both "pure spin", both "pure spin");
+      (40, both "pure spin", both "pure spin");
+      (16, ("combined(16)", "mixed sleep/spin"), ("combined(16)", "mixed sleep/spin"));
+    ]
+    (List.rev !seen)
 
 (* Every lock built on a compiled spec rejects out-of-range parameters
    at [create]. *)
@@ -284,6 +316,8 @@ let suite =
     Alcotest.test_case "budget: cap saturation" `Quick test_budget_saturates_at_cap;
     Alcotest.test_case "budget: apply" `Quick test_budget_apply_sets_attributes;
     Alcotest.test_case "budget: validation" `Quick test_budget_validates;
+    Alcotest.test_case "budget: initial configuration" `Quick
+      test_budget_initial_configuration;
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "stats trace off" `Quick test_stats_trace_disabled_by_default;
   ]

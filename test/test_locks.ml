@@ -359,22 +359,26 @@ let test_adaptive_contention_becomes_blocking () =
 let test_adaptive_mutual_exclusion () =
   check_mutex "adaptive" Locks.Lock.adaptive_default ()
 
+(* The user-provided policy is the spec the lock's [params] declare.
+   With [n] at the cap the budget starts at pure spin, where an
+   uncontended lock has no transition to take: every sample consults
+   the policy and none adapts. *)
 let test_adaptive_custom_policy_used () =
-  let hits = ref 0 in
+  let runs = ref 0 and adaptations = ref (-1) in
   let (_ : Sched.t) =
     run (fun () ->
-        let policy _obs =
-          incr hits;
-          Adaptive_core.Policy.No_change
-        in
-        let lk = Locks.Adaptive_lock.create ~home:0 ~policy () in
+        let params = { Locks.Adaptive_lock.default_params with n = 8; spin_cap = 8 } in
+        let lk = Locks.Adaptive_lock.create ~params ~home:0 () in
         for _ = 1 to 10 do
           Locks.Adaptive_lock.lock lk;
           Locks.Adaptive_lock.unlock lk
-        done)
+        done;
+        runs := Adaptive_core.Adaptive.policy_runs (Locks.Adaptive_lock.feedback lk);
+        adaptations := Locks.Adaptive_lock.adaptations lk)
   in
   (* period 2 -> five samples, each running the custom policy. *)
-  Alcotest.(check int) "custom policy consulted" 5 !hits
+  Alcotest.(check int) "custom policy consulted" 5 !runs;
+  Alcotest.(check int) "no transition taken" 0 !adaptations
 
 let test_trace_records_pattern () =
   let points = ref 0 in

@@ -183,11 +183,9 @@ let test_loose_lock_declares_own_spec () =
         let a = Monitoring.Loose_adaptive_lock.create ~name:"a" ~home:0 ~monitor_proc:6 () in
         let b = Monitoring.Loose_adaptive_lock.create ~name:"b" ~home:1 ~monitor_proc:7 () in
         specs :=
-          List.filter_map
+          List.map
             (fun (m : Adaptive_core.Registry.metrics) ->
-              Option.map
-                (fun (s : Adaptive_core.Policy.Spec.t) -> (m.name, s.s_name, s.s_attribute))
-                m.spec)
+              (m.name, m.spec.s_name, m.spec.s_attribute))
             (Adaptive_core.Registry.snapshot ());
         Monitoring.Loose_adaptive_lock.shutdown a;
         Monitoring.Loose_adaptive_lock.shutdown b)

@@ -24,12 +24,21 @@ let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
 (* A trivially adaptable loop: every fed/polled observation applies a
-   reconfiguration labelled [label]. *)
-let always_adapt ?(label = "flip") ?name ?kind () =
+   reconfiguration labelled [label], through [apply] when given. *)
+let always_adapt ?(label = "flip") ?(name = "adaptive-object") ?(kind = "object")
+    ?(apply = fun _ -> true) () =
   let sensor = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0) in
-  Adaptive.create ?name ?kind ~home:0 ~sensor
-    ~policy:(fun _ -> Policy.reconfigure ~label (fun () -> ()))
-    ()
+  let cur = ref 0 in
+  let any = Policy.Spec.cond 0 in
+  Adaptive.create
+    ~spec:(Test_adaptive_core.flip_spec ~name ~kind ~label any ~down:(any, label))
+    ~home:0 ~sensor
+    ~read:(fun () -> !cur)
+    ~apply:(fun v ->
+      let ok = apply v in
+      if ok then cur := v;
+      ok)
+    ~metric:Fun.id ()
 
 (* -- registry ------------------------------------------------------ *)
 
@@ -98,22 +107,11 @@ let test_registry_drive_all () =
    loses the attribute-ownership race and raises Not_owner. *)
 let test_registry_drive_all_skips_not_owner () =
   let driven = ref (-1) and healthy_samples = ref 0 in
-  let empty_stats () =
-    {
-      Registry.samples = 0;
-      policy_runs = 0;
-      adaptations = 0;
-      total_cost = Adaptive_core.Cost.zero;
-      last_label = None;
-      log = [];
-    }
-  in
   let (_ : Sched.t) =
     run (fun () ->
-        let (_ : int) =
-          Registry.register ~name:"contended" ~kind:"test" ~stats:empty_stats
-            ~drive:(fun () ->
-              raise (Adaptive_core.Attribute.Not_owner "held elsewhere"))
+        let (_ : int Adaptive.t) =
+          always_adapt ~name:"contended"
+            ~apply:(fun _ -> raise (Adaptive_core.Attribute.Not_owner "held elsewhere"))
             ()
         in
         let healthy = always_adapt ~name:"healthy" () in
@@ -357,8 +355,18 @@ let test_monitor_thread_drives_registry () =
               !counter)
         in
         let loop =
-          Adaptive.create ~name:"passive" ~home:0 ~sensor
-            ~policy:Policy.no_op ()
+          Adaptive.create
+            ~spec:
+              {
+                (Test_adaptive_core.flip_spec ~name:"passive" ~label:"-"
+                   (Policy.Spec.cond 0))
+                with
+                s_transitions = [];
+              }
+            ~home:0 ~sensor
+            ~read:(fun () -> 0)
+            ~apply:(fun _ -> true)
+            ~metric:Fun.id ()
         in
         let mt =
           Monitoring.Monitor_thread.start_registry ~proc:7

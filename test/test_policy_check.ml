@@ -308,15 +308,15 @@ let prop_compiled_matches_reference =
           guardrail
       in
       let b = Test_lock_units.drive_budget ?guardrail params in
+      let fallbacks = ref 0 in
       let trajectory =
         List.map
           (fun waiting ->
-            ignore (b.step ~waiting);
+            if b.step ~waiting = Some "guardrail-fallback" then incr fallbacks;
             !(b.spins))
           waits
       in
-      let fallbacks = Option.fold ~none:0 ~some:Policy.Guard.fallbacks b.guard in
-      (trajectory, fallbacks) = reference params ?guardrail waits)
+      (trajectory, !fallbacks) = reference params ?guardrail waits)
 
 let suite =
   [
