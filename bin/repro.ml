@@ -155,111 +155,6 @@ let all_cmd =
     (Cmd.info "all" ~doc:"Every table, figure and ablation in paper order")
     Term.(const run $ Cli.common)
 
-let bench_cmd =
-  let doc =
-    "Time full report generation at domains=1 vs domains=N, check the outputs are \
-     byte-identical, and write a machine-readable BENCH_results.json (no Bechamel \
-     micro-benchmarks; use bench/main.exe for those). With --compare, gate the \
-     report-level events/sec against the most recent BENCH record in the store \
-     (same host preferred) — or against the store file named as the option value."
-  in
-  let compare_arg =
-    let doc =
-      "Gate events/sec against a stored baseline. Without a value, uses the most \
-       recent same-host BENCH record of the command's own store; with one, reads \
-       the given store file."
-    in
-    Arg.(value & opt ~vopt:(Some "") (some string) None
-         & info [ "compare" ] ~docv:"STORE" ~doc)
-  in
-  let tolerance =
-    let doc = "Allowed events/sec drop, in percent, before --compare fails." in
-    Arg.(value & opt float 40.0 & info [ "tolerance" ] ~docv:"PCT" ~doc)
-  in
-  let run c compare_to tolerance =
-    let n = Engine.Runner.default_domains () in
-    let comparison, _report, _artifacts =
-      Experiments.Perf.compare_report_generation ~domains:n ()
-    in
-    Printf.printf
-      "report generation: %.2fs at domains=1, %.2fs at domains=%d (%.2fx), output %s\n"
-      comparison.Experiments.Perf.wall_base_s comparison.Experiments.Perf.wall_parallel_s
-      comparison.Experiments.Perf.domains_parallel
-      (comparison.Experiments.Perf.wall_base_s
-      /. Float.max comparison.Experiments.Perf.wall_parallel_s 1e-9)
-      (if comparison.Experiments.Perf.identical_output then "byte-identical"
-       else "DIFFERS (BUG)");
-    let eps =
-      comparison.Experiments.Perf.events_base
-      /. Float.max comparison.Experiments.Perf.wall_base_s 1e-9
-    in
-    (* Resolve the baseline before this run's record lands in the
-       store, so a run never gates against itself. *)
-    let baseline =
-      match compare_to with
-      | None -> None
-      | Some arg ->
-        let path = if arg = "" then Cli.store_path c else arg in
-        (match Fleet.Store.load ~path with
-        | Error e ->
-          prerr_endline ("bench --compare: " ^ e);
-          exit 2
-        | Ok records ->
-          let host = try Unix.gethostname () with _ -> "unknown" in
-          let candidates =
-            List.filter
-              (fun r ->
-                r.Fleet.Store.r_kind = "BENCH"
-                && List.mem_assoc "events_per_sec" r.Fleet.Store.r_metrics)
-              records
-          in
-          let last l = match List.rev l with [] -> None | r :: _ -> Some r in
-          let pick =
-            match last (List.filter (fun r -> r.Fleet.Store.r_host = host) candidates)
-            with
-            | Some r -> Some r
-            | None -> last candidates
-          in
-          Some (path, pick))
-    in
-    (match c.Cli.csv_dir with
-    | None -> ()
-    | Some _ ->
-      Cli.emit_artifact c ~driver:"bench" ~kind:"BENCH" ~legacy:"BENCH_results.json"
-        ~config:[]
-        ~metrics:
-          [
-            ("events_per_sec", eps);
-            ("events_base", comparison.Experiments.Perf.events_base);
-            ("wall_base_s", comparison.Experiments.Perf.wall_base_s);
-            ("wall_parallel_s", comparison.Experiments.Perf.wall_parallel_s);
-            ( "identical_output",
-              if comparison.Experiments.Perf.identical_output then 1. else 0. );
-          ]
-        ~payload:
-          (Experiments.Perf.to_json ~micros:[] ~comparison:(Some comparison) ()));
-    (match baseline with
-    | None -> ()
-    | Some (path, None) ->
-      Printf.printf "bench gate: no BENCH baseline in %s; skipping comparison\n" path
-    | Some (_, Some b) ->
-      let base_eps = List.assoc "events_per_sec" b.Fleet.Store.r_metrics in
-      let floor = base_eps *. (1. -. (tolerance /. 100.)) in
-      let rev = b.Fleet.Store.r_rev in
-      let rev = if String.length rev > 7 then String.sub rev 0 7 else rev in
-      Printf.printf
-        "bench gate: %.3g events/s vs baseline %.3g (host %s, rev %s, tolerance \
-         %g%%)\n"
-        eps base_eps b.Fleet.Store.r_host rev tolerance;
-      if eps < floor then begin
-        print_endline "bench gate: REGRESSION (events/sec below tolerated floor)";
-        exit 1
-      end
-      else print_endline "bench gate: ok");
-    if not comparison.Experiments.Perf.identical_output then exit 1
-  in
-  Cmd.v (Cmd.info "bench" ~doc) Term.(const run $ Cli.common $ compare_arg $ tolerance)
-
 let check_policies_cmd =
   let doc =
     "Statically model-check every shipped adaptation-policy spec — thrash cycles, dead \
@@ -748,7 +643,7 @@ let () =
   exit
     (Cmd.eval
        (Cmd.group ~default info
-          ((all_cmd :: bench_cmd :: analyze_cmd :: check_policies_cmd
+          ((all_cmd :: analyze_cmd :: check_policies_cmd
             :: check_protocols_cmd :: chaos_cmd :: objects_cmd :: fig1_cmd
             :: tsp_cmd :: run_cmd :: view_cmd :: table_cmds)
           @ single_table_cmds @ single_fig_cmds @ ablation_cmds

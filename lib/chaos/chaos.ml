@@ -182,8 +182,8 @@ let sweep ?domains ?horizon_ns ?swap_faults ~seeds ~scenarios () =
     (fun (scenario, seed) -> run_scenario ?horizon_ns ?swap_faults ~scenario ~seed ())
     jobs
 
-(* -- JSON rendering (hand-rolled like Experiments.Perf: no host state,
-   no wall-clock, deterministic bytes) -- *)
+(* -- JSON rendering (hand-rolled: no host state, no wall-clock,
+   deterministic bytes) -- *)
 
 let json_opt = function
   | None -> "null"

@@ -1,5 +1,3 @@
-let recommended_domains () = Domain.recommended_domain_count ()
-
 (* 0 means "unset": resolve to the hardware recommendation. *)
 let default_override = Atomic.make 0
 
@@ -7,7 +5,7 @@ let set_default_domains n = Atomic.set default_override (max 1 n)
 
 let default_domains () =
   let d = Atomic.get default_override in
-  if d > 0 then d else recommended_domains ()
+  if d > 0 then d else Domain.recommended_domain_count ()
 
 (* A domain already inside a [map] must not spawn further domains:
    nested maps degrade to sequential execution, so compositions of

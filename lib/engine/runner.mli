@@ -18,17 +18,14 @@
     calls [map] runs its sub-tasks inline, so composed parallel stages
     never oversubscribe the host. *)
 
-val recommended_domains : unit -> int
-(** The host's recommended domain count
-    ([Domain.recommended_domain_count ()]). *)
-
 val set_default_domains : int -> unit
 (** Set the process-wide default used when [?domains] is omitted
     (clamped to at least 1). The CLI [--domains] flag lands here. *)
 
 val default_domains : unit -> int
 (** The current default: the value of {!set_default_domains} if one
-    was set, otherwise {!recommended_domains}. *)
+    was set, otherwise the host's recommended domain count
+    ([Domain.recommended_domain_count ()]). *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?domains f inputs] is [List.map f inputs] computed by up to

@@ -556,30 +556,31 @@ let print_objects ?(out = std) ?only ?domains () =
     ~metrics
     (Adaptive_core.Registry.to_json r.Workloads.Sync_objects.snapshot)
 
-let print_everything ?(out = std) ?domains () =
+let print_everything () =
   (* Sections render in paper order; inside each section the
      simulations fan out across domains. Rendering stays on the
-     calling domain, so output bytes are independent of [domains]. *)
-  Format.fprintf out "=== Lock operation microbenchmarks (Tables 4-8) ===@.@.";
-  print_table4 ~out ?domains ();
-  print_table5 ~out ?domains ();
-  print_table6 ~out ?domains ();
-  print_table7 ~out ();
-  print_table8 ~out ();
-  Format.fprintf out "=== Figure 1 ===@.@.";
-  let fig1 = print_fig1 ~out ?domains () in
-  Format.fprintf out "=== TSP application (Tables 1-3, Figures 4-9) ===@.@.";
-  let figures = print_tsp ~out ?domains () in
-  Format.fprintf out "=== Ablations ===@.@.";
-  print_schedulers ~out ?domains ();
-  print_coupling ~out ?domains ();
-  print_sampling ~out ?domains ();
-  print_threshold ~out ?domains ();
-  print_phases ~out ?domains ();
-  print_barriers ~out ?domains ();
-  print_advisory ~out ?domains ();
-  print_architecture ~out ?domains ();
-  let _gate_ok, locks = print_switch_locks ~out ?domains () in
-  Format.fprintf out "=== Adaptive-object registry ===@.@.";
-  let objects = print_objects ~out ?domains () in
+     calling domain, so output bytes are independent of the domain
+     count. *)
+  Format.printf "=== Lock operation microbenchmarks (Tables 4-8) ===@.@.";
+  print_table4 ();
+  print_table5 ();
+  print_table6 ();
+  print_table7 ();
+  print_table8 ();
+  Format.printf "=== Figure 1 ===@.@.";
+  let fig1 = print_fig1 () in
+  Format.printf "=== TSP application (Tables 1-3, Figures 4-9) ===@.@.";
+  let figures = print_tsp () in
+  Format.printf "=== Ablations ===@.@.";
+  print_schedulers ();
+  print_coupling ();
+  print_sampling ();
+  print_threshold ();
+  print_phases ();
+  print_barriers ();
+  print_advisory ();
+  print_architecture ();
+  let _gate_ok, locks = print_switch_locks () in
+  Format.printf "=== Adaptive-object registry ===@.@.";
+  let objects = print_objects () in
   (fig1 :: figures) @ [ locks; objects ]

@@ -2,10 +2,10 @@
     artifacts (figure CSVs and result JSON) some of them produce.
 
     Each [print_*] function runs the experiment and writes a formatted
-    paper-vs-measured table (or figure) to the given formatter. These
-    are shared by the [repro] CLI and the benchmark harness. Nothing
-    here touches the file system: the functions that produce artifacts
-    return them, and the caller stores or writes them. *)
+    paper-vs-measured table (or figure) for the [repro] CLI to the
+    given formatter (stdout by default). Nothing here touches the file
+    system: the functions that produce artifacts return them, and the
+    caller stores or writes them. *)
 
 val print_lock_table :
   Format.formatter -> title:string -> paper:Paper.lock_op_row list -> Lock_tables.row list -> unit
@@ -69,9 +69,9 @@ val print_objects :
     [domains]). [only] restricts the dump (and its JSON) to the object
     with that registry name, and is recorded in the config. *)
 
-val print_everything : ?out:Format.formatter -> ?domains:int -> unit -> artifact list
-(** All tables, figures and ablations, in paper order, returning every
-    artifact in that order. The independent simulations inside each
-    section run in parallel across up to [domains] host cores (default
-    {!Engine.Runner.default_domains}); the rendered bytes and the
-    artifacts are identical at every domain count. *)
+val print_everything : unit -> artifact list
+(** All tables, figures and ablations, in paper order, on stdout,
+    returning every artifact in that order. The independent
+    simulations inside each section run in parallel across
+    {!Engine.Runner.default_domains} host cores; the rendered bytes and
+    the artifacts are identical at every domain count. *)

@@ -1,5 +1,4 @@
-(** One funnel for every artifact the repro CLI and the bench harness
-    produce.
+(** One funnel for every artifact the repro CLI produces.
 
     [artifact] builds a store record for a finished run and (a)
     appends it to the store when one is configured, (b) writes the
@@ -32,9 +31,8 @@ val artifact :
 val write_file : csv_dir:string -> string -> string -> string
 (** [write_file ~csv_dir name bytes] writes [bytes] to
     [csv_dir ^ "/" ^ name], creating [csv_dir] as needed, and returns
-    that path. [artifact] writes its legacy file through it; so do the
-    files that have no store record (the bench harness's copies of the
-    report artifacts, [CHAOS_failing_plans.txt]). *)
+    that path. [artifact] writes its legacy file through it; so does
+    the one file with no store record, [CHAOS_failing_plans.txt]. *)
 
 val default_store : csv_dir:string -> string
 (** The store the CLI uses when [--store] is absent:

@@ -3,7 +3,7 @@
     One line per completed run, each line one canonical JSON object
     (JSONL). A record ties together provenance (git revision, host),
     identity (spec id, driver, config and its hash), the artifact kind
-    it belongs to (BENCH, CHAOS, ...), a flat metric projection for
+    it belongs to (CHAOS, OBJECTS, ...), a flat metric projection for
     queries, and the {e exact} bytes of the legacy artifact it stands
     for. Serialization is byte-stable: {!to_line} depends only on the
     record value, so stores produced at [--domains 1] and [--domains 4]
@@ -12,10 +12,10 @@
 type record = {
   r_schema : int;  (** record format version; this library writes {!schema_version} *)
   r_rev : string;  (** git revision the run was produced at *)
-  r_host : string;  (** hostname, for same-host baseline lookup *)
+  r_host : string;  (** hostname of the machine that ran it *)
   r_spec : string;  (** spec id; [""] for records emitted by legacy subcommands *)
   r_driver : string;  (** catalogue driver (or legacy subcommand) name *)
-  r_kind : string;  (** artifact kind: BENCH, CHAOS, ANALYSIS, ... *)
+  r_kind : string;  (** artifact kind: CHAOS, ANALYSIS, OBJECTS, ... *)
   r_config : (string * string) list;  (** axis values, sorted by key *)
   r_hash : string;  (** {!config_hash} of [r_driver] + [r_config] *)
   r_metrics : (string * float) list;  (** flat metric projection, sorted by key *)
@@ -36,8 +36,10 @@ val make :
   unit ->
   record
 (** Build a record: sorts [config] and [metrics], computes the config
-    hash. [rev] defaults to {!Experiments.Perf.git_rev}, [host] to
-    [Unix.gethostname]. *)
+    hash. [rev] defaults to [GITHUB_SHA] when set (CI), else the
+    commit the nearest [.git/HEAD] names (one level of [ref:]), else
+    ["unknown"]; it is looked up afresh for each record. [host]
+    defaults to [Unix.gethostname]. *)
 
 val config_hash : driver:string -> (string * string) list -> string
 (** 16-hex-digit FNV-1a-64 over the driver name and the {e sorted}

@@ -2,8 +2,9 @@
 
     Lock wait times span four orders of magnitude (microseconds of
     spinning to milliseconds of queued handoffs), so buckets grow
-    geometrically. Used by the benchmark harness to report wait-time
-    percentiles next to the paper's means. *)
+    geometrically. [Locks.Lock_stats] records every lock wait in one,
+    and the TSP report prints its wait-time percentiles next to the
+    paper's means. *)
 
 type t
 

@@ -1,8 +1,8 @@
 (** Paper-style text tables.
 
-    Renders aligned monospace tables for the benchmark harness output
-    (one per paper table, with a paper-value column next to the
-    measured one). *)
+    Renders aligned monospace tables for the [repro] report (one per
+    paper table, with a paper-value column next to the measured one)
+    and for [repro view] query results. *)
 
 type t
 

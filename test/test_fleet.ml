@@ -196,6 +196,51 @@ let test_store_rejects_garbage () =
       {|{"config":{},"config_hash":"x","driver":"d","git_rev":"r","host":"h","kind":"K","payload":"p","schema":1,"spec_id":""}|};
     ]
 
+(* Without [?rev], a record names the commit the nearest .git/HEAD
+   points at. CI's GITHUB_SHA takes precedence, so the test clears it
+   and restores it, and the working directory, afterwards. *)
+let test_store_git_rev () =
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fleet_test_gitrev" in
+  let git = Filename.concat dir ".git" in
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  if Sys.file_exists dir then rm dir;
+  List.iter
+    (fun d -> Sys.mkdir d 0o755)
+    [ dir; git; Filename.concat git "refs"; Filename.concat git "refs/heads" ];
+  let write name text =
+    Out_channel.with_open_bin (Filename.concat git name) (fun oc ->
+        output_string oc text)
+  in
+  let sha = "0123456789abcdef0123456789abcdef01234567" in
+  write "refs/heads/main" (sha ^ "\n");
+  let rev () =
+    (Fleet.Store.make ~host:"h" ~driver:"d" ~kind:"K" ~config:[] ~metrics:[]
+       ~payload:"" ())
+      .Fleet.Store.r_rev
+  in
+  let cwd = Sys.getcwd () and github_sha = Sys.getenv_opt "GITHUB_SHA" in
+  Unix.putenv "GITHUB_SHA" "";
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      Unix.putenv "GITHUB_SHA" (Option.value github_sha ~default:"");
+      rm dir)
+    (fun () ->
+      Sys.chdir dir;
+      write "HEAD" "ref: refs/heads/main\n";
+      check string "ref: HEAD gives the ref's sha" sha (rev ());
+      write "HEAD" "fedcba9876543210fedcba9876543210fedcba98\n";
+      check string "detached HEAD gives the sha itself"
+        "fedcba9876543210fedcba9876543210fedcba98" (rev ());
+      write "HEAD" "ref: refs/heads/gone\n";
+      check string "missing ref gives unknown" "unknown" (rev ()))
+
 (* ------------------------------------------------------------------ *)
 (* Spec + catalogue                                                   *)
 
@@ -524,6 +569,8 @@ let suite =
       test_store_schema_rejection;
     Alcotest.test_case "store: malformed records rejected" `Quick
       test_store_rejects_garbage;
+    Alcotest.test_case "store: revision read from .git/HEAD" `Quick
+      test_store_git_rev;
     Alcotest.test_case "spec: cross-product expansion order" `Quick
       test_spec_expansion;
     Alcotest.test_case "spec: malformed specs rejected" `Quick test_spec_errors;
