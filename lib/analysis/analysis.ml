@@ -24,9 +24,61 @@ let cycles report = of_category Diag.Lock_order report
 let lints report = of_category Diag.Discipline report
 let clean report = report.diags = [] && report.aborted = None
 
-let check_trace cfg program =
-  let sim = Sched.create cfg in
-  let trace = Trace.attach sim in
+type sanitizers = {
+  race : Race.t;
+  lock_order : Lock_order.t;
+  discipline : Discipline.t;
+  mutable n_events : int;
+  mutable n_accesses : int;
+}
+
+let attach sim =
+  let s =
+    {
+      race = Race.create ();
+      lock_order = Lock_order.create ();
+      discipline = Discipline.create ();
+      n_events = 0;
+      n_accesses = 0;
+    }
+  in
+  Sched.add_event_hook sim (fun ev ->
+      s.n_events <- s.n_events + 1;
+      Race.event s.race ev;
+      Discipline.event s.discipline ev);
+  Sched.add_access_hook sim (fun a ->
+      s.n_accesses <- s.n_accesses + 1;
+      Race.access s.race a);
+  Sched.add_annot_hook sim (fun an ->
+      Race.annot s.race an;
+      Lock_order.annot s.lock_order an;
+      Discipline.annot s.discipline an);
+  s
+
+let thread_names sim =
+  let name_table = Hashtbl.create 64 in
+  List.iter (fun (tid, name, _) -> Hashtbl.replace name_table tid name)
+    (Sched.thread_report sim);
+  fun tid ->
+    match Hashtbl.find_opt name_table tid with
+    | Some n -> n
+    | None -> Printf.sprintf "t%d" tid
+
+let finish s sim =
+  let names = thread_names sim in
+  {
+    diags =
+      List.stable_sort Diag.compare
+        (Race.finish s.race ~names
+        @ Lock_order.finish s.lock_order ~names
+        @ Discipline.finish s.discipline ~names);
+    events = s.n_events;
+    accesses = s.n_accesses;
+    aborted = None;
+  }
+
+let run_checked sim program =
+  let sanitizers = attach sim in
   let aborted, abort_diag =
     match Sched.run sim program with
     | () -> (None, [])
@@ -47,30 +99,16 @@ let check_trace cfg program =
             (Printf.sprintf "the run deadlocked: %s" msg);
         ] )
   in
-  let name_table = Hashtbl.create 64 in
-  List.iter (fun (tid, name, _) -> Hashtbl.replace name_table tid name)
-    (Sched.thread_report sim);
-  let names tid =
-    match Hashtbl.find_opt name_table tid with
-    | Some n -> n
-    | None -> Printf.sprintf "t%d" tid
-  in
-  let diags =
-    Race.run ~names trace @ Lock_order.run ~names trace @ Discipline.run ~names trace
-    @ abort_diag
-  in
-  ( {
-      diags = List.stable_sort Diag.compare diags;
-      events = Trace.events trace;
-      accesses = Trace.accesses trace;
-      aborted;
-    },
-    trace,
-    names )
+  let report = finish sanitizers sim in
+  { report with diags = List.merge Diag.compare report.diags abort_diag; aborted }
 
-let check cfg program =
-  let report, _, _ = check_trace cfg program in
-  report
+let check cfg program = run_checked (Sched.create cfg) program
+
+let check_trace cfg program =
+  let sim = Sched.create cfg in
+  let trace = Trace.attach sim in
+  let report = run_checked sim program in
+  (report, trace, thread_names sim)
 
 type predicted = {
   finding : Predict.prediction;

@@ -1,8 +1,8 @@
 (** Correctness tooling over the deterministic simulator.
 
     [check cfg program] runs [program] on a fresh machine built from
-    [cfg] with all three sanitizers watching the run through the
-    scheduler's hook buses, and returns their findings:
+    [cfg] with all three sanitizers consuming the scheduler's hook
+    buses online, as the run executes, and returns their findings:
 
     - {!Race}: the data-race detector (Eraser locksets confirmed by a
       vector-clock happens-before pass);
@@ -16,7 +16,12 @@
     {!Butterfly.Sched.Deadlock} is folded into the report rather than
     escaping. Because the simulator is deterministic, checking the
     same config and program twice yields bit-for-bit identical
-    reports. *)
+    reports.
+
+    No per-event state is kept: each sanitizer's memory grows with
+    threads, locks and words, not with the length of the run. Only
+    the predictive path ({!check_trace}, {!check_predictive}) records
+    a {!Trace}. *)
 
 module Vclock = Vclock
 module Diag = Diag
@@ -43,9 +48,24 @@ val check : Butterfly.Config.t -> (unit -> unit) -> report
 
 val check_trace :
   Butterfly.Config.t -> (unit -> unit) -> report * Trace.t * (int -> string)
-(** Like {!check} but also returns the recorded trace and the
-    tid→name function, for passes that go beyond the built-in
+(** Like {!check} but also records the run's trace and returns it with
+    the tid→name function, for passes that go beyond the built-in
     sanitizers (prediction, witness replay). *)
+
+type sanitizers
+(** The three sanitizers subscribed to one machine, with counters of
+    the scheduling events and memory accesses they consumed. *)
+
+val attach : Butterfly.Sched.t -> sanitizers
+(** Subscribe {!Race}, {!Lock_order} and {!Discipline} to all three
+    buses of a machine. Call before running it; other observers may
+    subscribe alongside. *)
+
+val finish : sanitizers -> Butterfly.Sched.t -> report
+(** After the run: the findings of all three, sorted by
+    {!Diag.compare}, with thread names taken from the machine's
+    thread report, and the event and access counts ([aborted] is
+    [None]; the caller judges the outcome). *)
 
 (** {1 Predictive analysis}
 

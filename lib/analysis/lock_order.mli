@@ -12,4 +12,22 @@
     once, with the first-seen witness edge: which thread acquired what
     while holding what, and when. *)
 
+type t
+(** The graph so far: per-thread held locks, the first witness of each
+    edge and the lock names. It grows with threads and lock pairs, not
+    with events. *)
+
+val create : unit -> t
+
+val annot : t -> Butterfly.Sched.annot -> unit
+(** Feed one annotation, in the order the run emitted it. The graph
+    reads no scheduling events or memory accesses. *)
+
+val finish : t -> names:(int -> string) -> Diag.t list
+(** One diagnostic per distinct cycle, in first-seen edge order.
+    [names] maps a tid to a thread name; messages are built only
+    here. *)
+
 val run : names:(int -> string) -> Trace.t -> Diag.t list
+(** Replay a recorded trace's annotations through {!create}, {!annot}
+    and {!finish}. *)

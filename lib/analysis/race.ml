@@ -29,7 +29,7 @@ type finding = {
   mutable f_count : int;
 }
 
-type state = {
+type t = {
   clocks : (int, Vclock.t) Hashtbl.t;
   tokens : (int, int array Queue.t) Hashtbl.t;  (* pending wake-token snapshots *)
   release_clocks : (key, int array) Hashtbl.t;  (* per lock: clock at last release *)
@@ -43,8 +43,20 @@ type state = {
   exempt : (key, unit) Hashtbl.t;
   findings : (key * (int * key list) * (int * key list), finding) Hashtbl.t;
   mutable finding_order : finding list;  (* newest first *)
-  names : int -> string;
 }
+
+let create () =
+  {
+    clocks = Hashtbl.create 64;
+    tokens = Hashtbl.create 64;
+    release_clocks = Hashtbl.create 64;
+    held = Hashtbl.create 64;
+    finished = Hashtbl.create 64;
+    words = Hashtbl.create 1024;
+    exempt = Hashtbl.create 256;
+    findings = Hashtbl.create 64;
+    finding_order = [];
+  }
 
 let clock_of st tid =
   match Hashtbl.find_opt st.clocks tid with
@@ -61,23 +73,19 @@ let lockset st tid = match Hashtbl.find_opt st.held tid with Some l -> l | None 
 
 let intersect a b = List.filter (fun k -> List.mem k b) a
 
-(* Scan the whole trace first for words the detector must ignore:
-   synchronization internals, words declared intentionally racy, and
-   any word ever touched by an atomic operation (atomics are this
-   machine's synchronization instructions). *)
-let prescan trace =
-  let exempt = Hashtbl.create 256 in
-  Trace.iter
-    (function
-      | Trace.Annot { annotation = Ops.A_sync_word a; _ }
-      | Trace.Annot { annotation = Ops.A_relaxed_word a; _ } ->
-        Hashtbl.replace exempt (key a) ()
-      | Trace.Annot _ -> ()
-      | Trace.Access { access_kind = Memory.Atomic_access; access_addr; _ } ->
-        Hashtbl.replace exempt (key access_addr) ()
-      | Trace.Access _ | Trace.Event _ -> ())
-    trace;
-  exempt
+(* Words the detector ignores: synchronization internals, words
+   declared intentionally racy, and any word ever touched by an atomic
+   operation (atomics are this machine's synchronization instructions).
+   A word is marked when the first such annotation or access arrives.
+   Its earlier plain accesses may already have left word state and
+   findings; [finish] drops those, which equals never having checked
+   the word, because both are kept per word and no vector clock or
+   lockset depends on an access. *)
+let mark_exempt st k =
+  if not (Hashtbl.mem st.exempt k) then begin
+    Hashtbl.replace st.exempt k ();
+    Hashtbl.remove st.words k
+  end
 
 let word_state st k =
   match Hashtbl.find_opt st.words k with
@@ -102,7 +110,7 @@ let note_race st word k ~cur ~prior =
     Hashtbl.replace st.findings fkey f;
     st.finding_order <- f :: st.finding_order
 
-let finding_diag st f =
+let finding_diag ~names f =
   let candidates =
     match f.f_candidates with
     | Some (_ :: _ as c) ->
@@ -115,12 +123,12 @@ let finding_diag st f =
     else ""
   in
   Diag.make ~category:Diag.Race ~rule:"data-race" ~time:f.f_cur.p_time
-    ~thread:(st.names f.f_cur.p_tid)
+    ~thread:(names f.f_cur.p_tid)
     (Printf.sprintf
        "word %s: access by %s at %d ns races with access by %s at %d ns; no common \
         lock and no happens-before order%s%s"
-       (key_name f.f_word) (st.names f.f_cur.p_tid) f.f_cur.p_time
-       (st.names f.f_prior.p_tid) f.f_prior.p_time candidates occurrences)
+       (key_name f.f_word) (names f.f_cur.p_tid) f.f_cur.p_time
+       (names f.f_prior.p_tid) f.f_prior.p_time candidates occurrences)
 
 let check_pair st word k ~cur ~prior =
   if prior.p_tid <> cur.p_tid then begin
@@ -130,37 +138,40 @@ let check_pair st word k ~cur ~prior =
       note_race st word k ~cur ~prior
   end
 
-let on_access st (a : Sched.access) =
+let access st (a : Sched.access) =
   let k = key a.access_addr in
-  if not (Hashtbl.mem st.exempt k) then begin
-    let tid = a.access_tid in
-    let clock = clock_of st tid in
-    let ls = lockset st tid in
-    let cur = { p_tid = tid; p_comp = Vclock.get clock tid; p_time = a.access_time;
-                p_lockset = ls } in
-    let word = word_state st k in
-    (* Eraser refinement: the candidate set narrows on every access;
-       an empty candidate set alone is only a suspicion — the
-       happens-before test in [check_pair] confirms or clears it. *)
-    word.candidates <-
-      Some (match word.candidates with None -> ls | Some c -> intersect c ls);
-    (match a.access_kind with
-    | Memory.Read_access ->
-      (match word.last_write with
-      | Some w -> check_pair st word k ~cur ~prior:w
-      | None -> ());
-      Hashtbl.replace word.reads tid cur
-    | Memory.Write_access ->
-      (match word.last_write with
-      | Some w -> check_pair st word k ~cur ~prior:w
-      | None -> ());
-      Hashtbl.iter (fun _ r -> check_pair st word k ~cur ~prior:r) word.reads;
-      Hashtbl.reset word.reads;
-      word.last_write <- Some cur
-    | Memory.Atomic_access -> ())
-  end
+  match a.access_kind with
+  | Memory.Atomic_access -> mark_exempt st k
+  | Memory.Read_access | Memory.Write_access ->
+    if not (Hashtbl.mem st.exempt k) then begin
+      let tid = a.access_tid in
+      let clock = clock_of st tid in
+      let ls = lockset st tid in
+      let cur = { p_tid = tid; p_comp = Vclock.get clock tid; p_time = a.access_time;
+                  p_lockset = ls } in
+      let word = word_state st k in
+      (* Eraser refinement: the candidate set narrows on every access;
+         an empty candidate set alone is only a suspicion — the
+         happens-before test in [check_pair] confirms or clears it. *)
+      word.candidates <-
+        Some (match word.candidates with None -> ls | Some c -> intersect c ls);
+      (match a.access_kind with
+      | Memory.Read_access ->
+        (match word.last_write with
+        | Some w -> check_pair st word k ~cur ~prior:w
+        | None -> ());
+        Hashtbl.replace word.reads tid cur
+      | Memory.Write_access ->
+        (match word.last_write with
+        | Some w -> check_pair st word k ~cur ~prior:w
+        | None -> ());
+        Hashtbl.iter (fun _ r -> check_pair st word k ~cur ~prior:r) word.reads;
+        Hashtbl.reset word.reads;
+        word.last_write <- Some cur
+      | Memory.Atomic_access -> ())
+    end
 
-let on_event st (ev : Sched.event) =
+let event st (ev : Sched.event) =
   match ev.kind with
   | Sched.Ev_fork ->
     (* tid = child, other = parent: the child starts after the fork. *)
@@ -221,7 +232,7 @@ let on_event st (ev : Sched.event) =
     Hashtbl.remove st.held ev.tid
   | Sched.Ev_switch | Sched.Ev_preempt | Sched.Ev_block -> ()
 
-let on_annot st (an : Sched.annot) =
+let annot st (an : Sched.annot) =
   match an.annotation with
   | Ops.A_lock_acquire { lock; _ } ->
     let k = key lock in
@@ -241,27 +252,22 @@ let on_annot st (an : Sched.annot) =
     let clock = clock_of st tid in
     Hashtbl.replace st.release_clocks k (Vclock.snapshot clock);
     Vclock.incr clock tid
-  | Ops.A_lock_request _ | Ops.A_sync_word _ | Ops.A_relaxed_word _ | Ops.A_adaptation _ -> ()
+  | Ops.A_sync_word a | Ops.A_relaxed_word a -> mark_exempt st (key a)
+  | Ops.A_lock_request _ | Ops.A_adaptation _ -> ()
+
+let finish st ~names =
+  (* [finding_order] is newest first, so the fold yields trace order. *)
+  List.fold_left
+    (fun acc f ->
+      if Hashtbl.mem st.exempt f.f_word then acc else finding_diag ~names f :: acc)
+    [] st.finding_order
 
 let run ~names trace =
-  let st =
-    {
-      clocks = Hashtbl.create 64;
-      tokens = Hashtbl.create 64;
-      release_clocks = Hashtbl.create 64;
-      held = Hashtbl.create 64;
-      finished = Hashtbl.create 64;
-      words = Hashtbl.create 1024;
-      exempt = prescan trace;
-      findings = Hashtbl.create 64;
-      finding_order = [];
-      names;
-    }
-  in
+  let st = create () in
   Trace.iter
     (function
-      | Trace.Event ev -> on_event st ev
-      | Trace.Access a -> on_access st a
-      | Trace.Annot an -> on_annot st an)
+      | Trace.Event ev -> event st ev
+      | Trace.Access a -> access st a
+      | Trace.Annot an -> annot st an)
     trace;
-  List.rev_map (finding_diag st) st.finding_order
+  finish st ~names

@@ -6,7 +6,13 @@
     callback synchronously at the emitting operation, arrival order
     {e is} the global linearization of the run: identical runs produce
     identical traces, which is what makes the offline analysis passes
-    bit-for-bit reproducible. *)
+    bit-for-bit reproducible.
+
+    A trace grows with every event, so only the passes that need the
+    whole run record one: the predictive passes ({!Predict} over
+    {!Causality}), witness replay ({!Witness}) and replays of the
+    sanitizers ([Race.run] and its siblings). {!Analysis.check} and the
+    chaos harness feed the sanitizers online and record nothing. *)
 
 open Butterfly
 

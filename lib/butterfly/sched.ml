@@ -171,7 +171,11 @@ type t = {
          exhausted; returns a candidate tid or -1 for the default
          pick *)
   mutable record_schedule : bool;
-  mutable schedule_log : int list;  (* dispatched tids, newest first *)
+  mutable schedule_log : int array;
+      (* run-length dispatch log: (tid, consecutive dispatches) pairs
+         flattened into [2 * runs] slots, oldest first; [||] until
+         recording is enabled *)
+  mutable schedule_len : int;  (* slots of [schedule_log] in use *)
   mutable control_diverged : bool;
 }
 
@@ -211,7 +215,8 @@ let create (cfg : Config.t) =
     control = [];
     chooser = None;
     record_schedule = false;
-    schedule_log = [];
+    schedule_log = [||];
+    schedule_len = 0;
     control_diverged = false;
   }
 
@@ -891,8 +896,23 @@ let slice_fast_ok t p =
   && (not t.record_schedule)
   && other_procs_idle t p
 
+let record_dispatch t tid =
+  let n = t.schedule_len in
+  if n > 0 && t.schedule_log.(n - 2) = tid then
+    t.schedule_log.(n - 1) <- t.schedule_log.(n - 1) + 1
+  else begin
+    if n = Array.length t.schedule_log then begin
+      let log = Array.make (max 64 (2 * n)) 0 in
+      Array.blit t.schedule_log 0 log 0 n;
+      t.schedule_log <- log
+    end;
+    t.schedule_log.(n) <- tid;
+    t.schedule_log.(n + 1) <- 1;
+    t.schedule_len <- n + 2
+  end
+
 let dispatch_thread t p th =
-  if t.record_schedule then t.schedule_log <- th.tid :: t.schedule_log;
+  if t.record_schedule then record_dispatch t th.tid;
   let st = t.st in
   if st.status.(th.tid) = Mstate.st_finished then ()
     (* a killed thread still queued: consume the slot, run nothing *)
@@ -981,9 +1001,24 @@ let set_dispatch_chooser t chooser = t.chooser <- chooser
 
 let set_record_schedule t flag =
   t.record_schedule <- flag;
-  if flag then t.schedule_log <- []
+  if flag then begin
+    t.schedule_log <- [||];
+    t.schedule_len <- 0
+  end
 
-let recorded_schedule t = List.rev t.schedule_log
+(* Expanded back to front, so the list is built without a reversal. *)
+let recorded_schedule t =
+  let acc = ref [] in
+  let i = ref (t.schedule_len - 2) in
+  while !i >= 0 do
+    let tid = t.schedule_log.(!i) in
+    for _ = 1 to t.schedule_log.(!i + 1) do
+      acc := tid :: !acc
+    done;
+    i := !i - 2
+  done;
+  !acc
+
 let control_diverged t = t.control_diverged
 
 (* Every thread the machine could legally dispatch right now: each

@@ -310,13 +310,17 @@ val set_dispatch_chooser : t -> (choice array -> int) option -> unit
 
 val set_record_schedule : t -> bool -> unit
 (** Enable schedule recording: every dispatch (including the no-op
-    consumption of a killed thread's stale queue entry) appends the
-    dispatched tid to the log. Enabling resets any previous log. *)
+    consumption of a killed thread's stale queue entry) is logged.
+    The log is run-length encoded, one (tid, count) pair per maximal
+    run of dispatches of the same thread, so its memory grows with
+    thread switches, not with dispatches; a machine that never enables
+    recording allocates no log. Enabling resets any previous log. *)
 
 val recorded_schedule : t -> int list
-(** The recorded dispatch log, oldest first. Feeding it to
-    {!set_schedule_control} on a fresh machine running the same
-    program replays the run bit-for-bit. *)
+(** The recorded dispatch log expanded to one tid per dispatch, oldest
+    first; built on each call. Feeding it to {!set_schedule_control}
+    on a fresh machine running the same program replays the run
+    bit-for-bit. *)
 
 val control_diverged : t -> bool
 (** Whether a schedule-control decision or chooser answer ever named a

@@ -25,7 +25,11 @@ let default_horizon_ns = 3_000_000
    waiters is a livelock — the waiters burn events forever and the
    watchdog (correctly) sees progress — and the budget is what turns
    that into a structured Event_limit abort in bounded wall time. An
-   order of magnitude above any shipped scenario's normal run. *)
+   order of magnitude above any shipped scenario's normal run. The
+   budget bounds time only: a run keeps no per-event state (the
+   sanitizers consume the buses online and the schedule log is
+   run-length encoded), so its heap does not grow with the events it
+   burns. *)
 let default_max_events = 2_000_000
 
 (* A kill that actually fired (not a no-op) legitimately strands the
@@ -53,7 +57,7 @@ let run_plan_once ?(max_events = default_max_events) ?control ~scenario ~seed ~p
   let sim = Sched.create config in
   Sched.set_record_schedule sim true;
   (match control with None -> () | Some s -> Sched.set_schedule_control sim s);
-  let trace = Analysis.Trace.attach sim in
+  let sanitizers = Analysis.attach sim in
   let injector = Faults.Injector.install sim ~plan in
   let wrapped () =
     let wd = Monitoring.Watchdog.start ~sched:sim () in
@@ -64,21 +68,8 @@ let run_plan_once ?(max_events = default_max_events) ?control ~scenario ~seed ~p
     Monitoring.Watchdog.stop wd
   in
   let outcome = Sched.run_outcome ~main_name:"main" sim wrapped in
-  let name_table = Hashtbl.create 64 in
-  List.iter
-    (fun (tid, name, _) -> Hashtbl.replace name_table tid name)
-    (Sched.thread_report sim);
-  let names tid =
-    match Hashtbl.find_opt name_table tid with
-    | Some n -> n
-    | None -> Printf.sprintf "t%d" tid
-  in
-  let diags =
-    List.stable_sort Analysis.Diag.compare
-      (Analysis.Race.run ~names trace
-      @ Analysis.Lock_order.run ~names trace
-      @ Analysis.Discipline.run ~names trace)
-  in
+  let observed = Analysis.finish sanitizers sim in
+  let diags = observed.Analysis.diags in
   let injected = Faults.Injector.applied injector in
   let outcome_str, abort_reason, diagnostics =
     match outcome with
@@ -119,8 +110,8 @@ let run_plan_once ?(max_events = default_max_events) ?control ~scenario ~seed ~p
       sanitizer_diags = List.map Analysis.Diag.to_string diags;
       invariant_failures;
       final_time_ns = Sched.final_time sim;
-      events = Analysis.Trace.events trace;
-      accesses = Analysis.Trace.accesses trace;
+      events = observed.Analysis.events;
+      accesses = observed.Analysis.accesses;
       pinned_schedule = None;
     }
   in
@@ -132,7 +123,7 @@ let run_plan_once ?(max_events = default_max_events) ?control ~scenario ~seed ~p
       && (not (Sched.control_diverged sim))
       && Sched.schedule_control_remaining sim = 0
   in
-  (result, Sched.recorded_schedule sim, faithful)
+  (result, lazy (Sched.recorded_schedule sim), faithful)
 
 let run_plan ?max_events ~scenario ~seed ~plan () =
   let result, schedule, _ = run_plan_once ?max_events ~scenario ~seed ~plan () in
@@ -141,6 +132,7 @@ let run_plan ?max_events ~scenario ~seed ~plan () =
     (* Pin the failure: re-execute the same plan under the recorded
        dispatch schedule (the witness-replay machinery) and attach the
        decision list only if the failure reproduces bit for bit. *)
+    let schedule = Lazy.force schedule in
     let replayed, _, faithful =
       run_plan_once ?max_events ~control:schedule ~scenario ~seed ~plan ()
     in

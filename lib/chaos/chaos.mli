@@ -5,9 +5,11 @@
     Each run takes one shipped {!Analysis_suite} scenario, generates a
     {!Faults.Fault_plan} from a seed (or replays a given plan), arms it
     with {!Faults.Injector} on a fresh machine, starts a
-    {!Monitoring.Watchdog}, attaches the {!Analysis.Trace} recorder,
-    and executes the workload via {!Butterfly.Sched.run_outcome}. The
-    run must then satisfy the harness invariants:
+    {!Monitoring.Watchdog}, attaches the online sanitizers
+    ({!Analysis.attach}), and executes the workload via
+    {!Butterfly.Sched.run_outcome}. No trace is recorded, so a run's
+    memory does not grow with its events. The run must then satisfy
+    the harness invariants:
 
     - the outcome is [Completed], or [Aborted] with a structured
       reason and a non-empty diagnostic dump (no opaque hang, no

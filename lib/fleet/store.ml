@@ -41,8 +41,12 @@ let config_hash ~driver config =
 let sort_fields kvs = List.sort (fun (a, _) (b, _) -> String.compare a b) kvs
 
 (* Best-effort commit id: CI exports GITHUB_SHA; locally, follow
-   .git/HEAD one level. No git invocation, so this works in a bare
-   build sandbox. *)
+   .git/HEAD one level, to the loose ref file or, when there is none
+   (after [git gc] or [git pack-refs]), to its line in packed-refs. In
+   a worktree or submodule .git is a file naming the real git
+   directory ("gitdir: PATH"), and a worktree keeps its branch refs in
+   the directory its "commondir" file names. No git invocation, so
+   this works in a bare build sandbox. *)
 let git_rev () =
   match Sys.getenv_opt "GITHUB_SHA" with
   | Some sha when sha <> "" -> sha
@@ -55,6 +59,15 @@ let git_rev () =
           (fun () -> Some (String.trim (input_line ic)))
       with Sys_error _ | End_of_file -> None
     in
+    let after prefix line =
+      let n = String.length prefix in
+      if String.length line > n && String.sub line 0 n = prefix then
+        Some (String.sub line n (String.length line - n))
+      else None
+    in
+    let relative_to dir path =
+      if Filename.is_relative path then Filename.concat dir path else path
+    in
     let rec find_git_dir dir depth =
       if depth > 6 then None
       else
@@ -64,17 +77,60 @@ let git_rev () =
           let parent = Filename.dirname dir in
           if parent = dir then None else find_git_dir parent (depth + 1)
     in
+    (* "SHA REFNAME" lines; '#' starts the header, '^' a peeled tag. *)
+    let packed_ref git_dir refname =
+      try
+        let ic = open_in (Filename.concat git_dir "packed-refs") in
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () ->
+            let rec scan () =
+              match input_line ic with
+              | exception End_of_file -> None
+              | line -> (
+                match String.index_opt line ' ' with
+                | Some i
+                  when line.[0] <> '#' && line.[0] <> '^'
+                       && String.trim (String.sub line (i + 1) (String.length line - i - 1))
+                          = refname ->
+                  Some (String.sub line 0 i)
+                | _ -> scan ())
+            in
+            scan ())
+      with Sys_error _ -> None
+    in
+    let resolve git_dir =
+      match read_line_of (Filename.concat git_dir "HEAD") with
+      | None -> None
+      | Some head -> (
+        match after "ref: " head with
+        | None -> Some head
+        | Some refname -> (
+          match read_line_of (Filename.concat git_dir refname) with
+          | Some sha -> Some sha
+          | None ->
+            let common =
+              match read_line_of (Filename.concat git_dir "commondir") with
+              | Some dir -> relative_to git_dir dir
+              | None -> git_dir
+            in
+            (match read_line_of (Filename.concat common refname) with
+            | Some sha -> Some sha
+            | None -> packed_ref common refname)))
+    in
     match find_git_dir (Sys.getcwd ()) 0 with
     | None -> "unknown"
-    | Some git_dir -> (
-      match read_line_of (Filename.concat git_dir "HEAD") with
-      | Some head when String.length head > 5 && String.sub head 0 5 = "ref: " -> (
-        let refname = String.sub head 5 (String.length head - 5) in
-        match read_line_of (Filename.concat git_dir refname) with
-        | Some sha -> sha
-        | None -> "unknown")
-      | Some sha -> sha
-      | None -> "unknown"))
+    | Some dot_git ->
+      let rev =
+        match resolve dot_git with
+        | Some _ as rev -> rev
+        | None -> (
+          (* .git is not a directory: a "gitdir:" file *)
+          match Option.bind (read_line_of dot_git) (after "gitdir: ") with
+          | Some path -> resolve (relative_to (Filename.dirname dot_git) path)
+          | None -> None)
+      in
+      Option.value rev ~default:"unknown")
 
 let make ?(spec = "") ?rev ?host ~driver ~kind ~config ~metrics ~payload () =
   let rev = match rev with Some r -> r | None -> git_rev () in

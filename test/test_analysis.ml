@@ -65,6 +65,26 @@ let test_fork_join_orders () =
   let r = Analysis.check (cfg ()) fork_join_orders in
   check_bool "fork and join edges order parent and child" true (Analysis.clean r)
 
+(* Two clocks of different lengths trading snapshots, as a lock's
+   release clock and its next acquirer do: joining must grow a clock
+   only to the snapshot's length. Growing by doubling made each round
+   trip double both clocks, and one chaos run's detector reached
+   12,288 components for 9 threads. *)
+let test_vclock_exchange_stays_small () =
+  let a = Analysis.Vclock.create () and b = Analysis.Vclock.create () in
+  Analysis.Vclock.set a 2 1;
+  Analysis.Vclock.set b 3 1;
+  for _ = 1 to 12 do
+    Analysis.Vclock.join a (Analysis.Vclock.snapshot b);
+    Analysis.Vclock.incr a 2;
+    Analysis.Vclock.join b (Analysis.Vclock.snapshot a);
+    Analysis.Vclock.incr b 3
+  done;
+  check_int "a sees b's last release" 12 (Analysis.Vclock.get a 3);
+  check_bool "both clocks stay short" true
+    (Array.length (Analysis.Vclock.snapshot a) <= 8
+    && Array.length (Analysis.Vclock.snapshot b) <= 8)
+
 (* --- event-log bus ------------------------------------------------ *)
 
 (* Two recorders on one machine: attaching the second must not detach
@@ -250,6 +270,29 @@ let test_race_detected_after_thread_churn () =
   let clean = Analysis.check (cfg ()) (program ~locked:true) in
   check_bool "locked variant stays clean after churn" true (Analysis.clean clean)
 
+(* The exemption rule seen online: two unordered threads plainly write
+   a word, and only afterwards is the word touched atomically (or
+   declared relaxed). A word exempt anywhere in the run is exempt
+   everywhere, so the earlier writes must not be reported; without
+   the later access they are a race. *)
+let test_exempt_after_plain_writes () =
+  let program ~mark () =
+    let x = Ops.alloc1 ~node:0 () in
+    let a = Cthread.fork ~name:"w1" ~proc:1 (fun () -> Ops.write x 1) in
+    let b = Cthread.fork ~name:"w2" ~proc:2 (fun () -> Ops.write x 2) in
+    Cthread.join_all [ a; b ];
+    match mark with
+    | `None -> ()
+    | `Atomic -> ignore (Ops.fetch_and_add x 1)
+    | `Relaxed -> Ops.mark_relaxed_word x
+  in
+  check_bool "unmarked writes race" true
+    (List.mem "data-race" (rules (Analysis.check (cfg ()) (program ~mark:`None))));
+  check_bool "a later atomic access exempts the word" true
+    (Analysis.clean (Analysis.check (cfg ()) (program ~mark:`Atomic)));
+  check_bool "a later relaxed mark exempts the word" true
+    (Analysis.clean (Analysis.check (cfg ()) (program ~mark:`Relaxed)))
+
 (* --- scenario suite ----------------------------------------------- *)
 
 let test_suite_verdicts () =
@@ -296,11 +339,72 @@ let test_runner_json_deterministic () =
       check_bool (r.Analysis_suite.r_name ^ " passed") true (Analysis_suite.passed r))
     (Analysis_suite.run_all ~domains:2 ~predict:true picked)
 
+(* sanitizers.expected holds the diagnostics, event counts and access
+   counts the whole-trace sanitizers gave before they became online
+   consumers, for every suite scenario and for all chaos-quick plans
+   with and without swap faults. The online consumers must reproduce
+   them line for line. *)
+let sanitizer_lines () =
+  let analysis s =
+    let r = Analysis_suite.check s in
+    Printf.sprintf "analysis %s events=%d accesses=%d aborted=%s"
+      s.Analysis_suite.scenario_name r.Analysis.events r.Analysis.accesses
+      (match r.Analysis.aborted with None -> "-" | Some m -> String.escaped m)
+    :: List.map (fun d -> "  " ^ Analysis.Diag.to_string d) r.Analysis.diags
+  in
+  let chaos swap_faults scenario seed =
+    let r = Chaos.run_scenario ~swap_faults ~scenario ~seed () in
+    Printf.sprintf "chaos %s seed=%d swap=%b events=%d accesses=%d" r.Chaos.scenario seed
+      swap_faults r.Chaos.events r.Chaos.accesses
+    :: List.map (fun d -> "  " ^ d) r.Chaos.sanitizer_diags
+  in
+  List.concat_map analysis (Analysis_suite.all ())
+  @ List.concat_map
+      (fun swap_faults ->
+        List.concat_map
+          (fun scenario -> List.concat_map (chaos swap_faults scenario) [ 1; 2 ])
+          (Analysis_suite.shipped ()))
+      [ false; true ]
+
+let test_online_matches_reference () =
+  let expected = In_channel.with_open_bin "sanitizers.expected" In_channel.input_all in
+  Alcotest.(check (list string))
+    "same diagnostics and counts"
+    (String.split_on_char '\n' (String.trim expected))
+    (sanitizer_lines ())
+
+(* [Race.run] and friends replay a recorded trace through the same
+   consumers: on every suite scenario they give the online findings
+   and counts, less the report's own abort diagnostic. *)
+let test_replay_matches_online () =
+  List.iter
+    (fun s ->
+      let report, trace, names =
+        Analysis.check_trace s.Analysis_suite.config s.Analysis_suite.program
+      in
+      let replayed =
+        List.stable_sort Analysis.Diag.compare
+          (Analysis.Race.run ~names trace
+          @ Analysis.Lock_order.run ~names trace
+          @ Analysis.Discipline.run ~names trace)
+      in
+      let name = s.Analysis_suite.scenario_name in
+      check_int (name ^ ": events") report.Analysis.events (Analysis.Trace.events trace);
+      check_int (name ^ ": accesses") report.Analysis.accesses (Analysis.Trace.accesses trace);
+      check_bool (name ^ ": replayed findings reported") true
+        (List.for_all (fun d -> List.mem d report.Analysis.diags) replayed);
+      check_int (name ^ ": only the abort diagnostic added")
+        (List.length replayed + if report.Analysis.aborted = None then 0 else 1)
+        (List.length report.Analysis.diags))
+    (Analysis_suite.all ())
+
 let suite =
   [
     Alcotest.test_case "release-acquire orders" `Quick test_release_acquire_orders;
     Alcotest.test_case "missing edge is a race" `Quick test_missing_edge_is_a_race;
     Alcotest.test_case "fork-join orders" `Quick test_fork_join_orders;
+    Alcotest.test_case "vclock exchange stays small" `Quick
+      test_vclock_exchange_stays_small;
     Alcotest.test_case "two observers share the bus" `Quick test_two_observers;
     Alcotest.test_case "blocked_spans unmatched block" `Quick
       test_blocked_spans_unmatched_final_block;
@@ -318,4 +422,8 @@ let suite =
     Alcotest.test_case "deterministic report" `Quick test_deterministic_report;
     Alcotest.test_case "suite runner json deterministic" `Quick
       test_runner_json_deterministic;
+    Alcotest.test_case "exempt after plain writes" `Quick test_exempt_after_plain_writes;
+    Alcotest.test_case "online sanitizers match reference" `Slow
+      test_online_matches_reference;
+    Alcotest.test_case "replay matches online" `Quick test_replay_matches_online;
   ]

@@ -547,6 +547,64 @@ let test_chaos_json_shape () =
   check_bool "json carries outcomes" true (contains json "\"outcome\":");
   check_bool "summary counts runs" true (contains (Chaos.summary_line results) "2 runs")
 
+(* The run-length schedule log, expanded, must still be the
+   per-dispatch list: a fresh machine under schedule control consumes
+   one decision per dispatch, so a replay that consumes every decision
+   without diverging and records the same list again dispatched
+   exactly that list. The plan kills a thread, so the log also covers
+   the no-op dispatch of a killed thread's stale queue entry. *)
+let test_chaos_plan_schedule_replays () =
+  let scenario =
+    List.find (fun s -> s.Analysis_suite.scenario_name = "csweep-spin")
+      (Analysis_suite.shipped ())
+  in
+  let plan =
+    Faults.Fault_plan.of_string
+      "holder-delay@1244781:lock=*,ns=633154;kill@1399050:tid=2;\
+       proc-stall@2424678:proc=0,ns=742509"
+  in
+  let run control =
+    let sim = Sched.create scenario.Analysis_suite.config in
+    Sched.set_record_schedule sim true;
+    Option.iter (Sched.set_schedule_control sim) control;
+    let injector = Faults.Injector.install sim ~plan in
+    let outcome = Sched.run_outcome ~main_name:"main" sim scenario.Analysis_suite.program in
+    (sim, outcome, Faults.Injector.applied injector)
+  in
+  let sim, outcome, injected = run None in
+  let schedule = Sched.recorded_schedule sim in
+  check_bool "the kill fired" true
+    (List.exists (fun l -> contains l "kill tid=2" && not (contains l "no-op")) injected);
+  let rec runs prev = function
+    | [] -> 0
+    | t :: rest -> (if t <> prev then 1 else 0) + runs t rest
+  in
+  check_bool "the log has runs longer than one dispatch" true
+    (runs (-1) schedule < List.length schedule);
+  let replay, replay_outcome, _ = run (Some schedule) in
+  check_bool "no divergence" false (Sched.control_diverged replay);
+  check_int "every decision consumed" 0 (Sched.schedule_control_remaining replay);
+  check_bool "replay records the same list" true (Sched.recorded_schedule replay = schedule);
+  check_bool "same outcome" true (outcome = replay_outcome);
+  check_int "same final clock" (Sched.final_time sim) (Sched.final_time replay)
+
+(* A failing chaos run is pinned only if re-executing it under its
+   expanded schedule reproduces the failure bit for bit. A thread that
+   exits holding a lock with no kill in the plan breaks an invariant. *)
+let test_chaos_failure_pinned () =
+  let scenario =
+    List.find (fun s -> s.Analysis_suite.scenario_name = "buggy-exit-holding")
+      (Analysis_suite.buggy ())
+  in
+  let r = Chaos.replay ~scenario ~plan:[] in
+  check_bool "run failed its invariants" false (Chaos.passed r);
+  match r.Chaos.pinned_schedule with
+  | None -> Alcotest.fail "failing run not pinned"
+  | Some s ->
+    let tids = List.map int_of_string (String.split_on_char ',' s) in
+    check_bool "pinned schedule repeats a tid back to back" true
+      (List.exists2 ( = ) (List.tl tids @ [ -1 ]) tids)
+
 let suite =
   [
     Alcotest.test_case "fault plan round-trips" `Quick test_plan_roundtrip;
@@ -585,4 +643,7 @@ let suite =
     Alcotest.test_case "chaos run deterministic" `Quick
       test_chaos_run_deterministic_and_invariant_checked;
     Alcotest.test_case "chaos sweep and json" `Quick test_chaos_json_shape;
+    Alcotest.test_case "chaos plan schedule replays" `Quick
+      test_chaos_plan_schedule_replays;
+    Alcotest.test_case "chaos failure pinned" `Quick test_chaos_failure_pinned;
   ]

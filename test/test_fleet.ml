@@ -197,8 +197,12 @@ let test_store_rejects_garbage () =
     ]
 
 (* Without [?rev], a record names the commit the nearest .git/HEAD
-   points at. CI's GITHUB_SHA takes precedence, so the test clears it
-   and restores it, and the working directory, afterwards. *)
+   points at: through a loose ref, through packed-refs when the ref is
+   packed only, and through a "gitdir:" file where .git is one
+   (worktrees, submodules). Every record looks the revision up again,
+   so each rewrite below shows in the next record. CI's GITHUB_SHA
+   takes precedence, so the test clears it and restores it, and the
+   working directory, afterwards. *)
 let test_store_git_rev () =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "fleet_test_gitrev" in
   let git = Filename.concat dir ".git" in
@@ -239,7 +243,36 @@ let test_store_git_rev () =
       check string "detached HEAD gives the sha itself"
         "fedcba9876543210fedcba9876543210fedcba98" (rev ());
       write "HEAD" "ref: refs/heads/gone\n";
-      check string "missing ref gives unknown" "unknown" (rev ()))
+      check string "missing ref gives unknown" "unknown" (rev ());
+      let packed = "89abcdef0123456789abcdef0123456789abcdef" in
+      write "packed-refs"
+        (String.concat "\n"
+           [
+             "# pack-refs with: peeled fully-peeled sorted ";
+             "fedcba9876543210fedcba9876543210fedcba98 refs/heads/gon";
+             packed ^ " refs/heads/gone";
+             "^0000000000000000000000000000000000000000";
+             "";
+           ]);
+      check string "packed-only ref gives its packed sha" packed (rev ());
+      write "HEAD" "ref: refs/heads/main\n";
+      write "packed-refs" (packed ^ " refs/heads/main\n");
+      check string "loose ref wins over packed-refs" sha (rev ());
+      (* A worktree: .git is a file naming its git directory, which has
+         its own HEAD and finds branch refs through commondir. *)
+      let wt = Filename.concat git "worktrees/wt" in
+      Sys.mkdir (Filename.concat git "worktrees") 0o755;
+      Sys.mkdir wt 0o755;
+      write "worktrees/wt/HEAD" "ref: refs/heads/main\n";
+      write "worktrees/wt/commondir" "../..\n";
+      let sub = Filename.concat dir "wt" in
+      Sys.mkdir sub 0o755;
+      Out_channel.with_open_bin (Filename.concat sub ".git") (fun oc ->
+          output_string oc "gitdir: ../.git/worktrees/wt\n");
+      Sys.chdir sub;
+      check string "gitdir: file is followed" sha (rev ());
+      Sys.remove (Filename.concat git "refs/heads/main");
+      check string "worktree falls back to the common packed-refs" packed (rev ()))
 
 (* ------------------------------------------------------------------ *)
 (* Spec + catalogue                                                   *)

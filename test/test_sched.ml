@@ -432,6 +432,82 @@ let test_priorities_stored () =
   in
   check_int "priority readable" 7 !seen
 
+(* --- schedule recorder --------------------------------------------- *)
+
+(* Runs [main] with a dispatch chooser that logs every answer. With no
+   fault timers armed each answer is one dispatch, so the log is the
+   per-dispatch list the recorder must reproduce. [pick last cands]
+   chooses the tid. *)
+let recorded_and_chosen ~pick main =
+  let sim = Sched.create small_cfg in
+  Sched.set_record_schedule sim true;
+  let log = ref [] and last = ref (-1) in
+  Sched.set_dispatch_chooser sim
+    (Some
+       (fun cands ->
+         let tid = pick !last cands in
+         log := tid :: !log;
+         last := tid;
+         tid));
+  Sched.run sim main;
+  (Sched.recorded_schedule sim, List.rev !log)
+
+let spin n () =
+  let x = Ops.alloc1 ~node:0 () in
+  for _ = 1 to n do
+    ignore (Ops.read x)
+  done
+
+let test_recorded_single_thread_spin () =
+  let recorded, chosen =
+    recorded_and_chosen ~pick:(fun _ cands -> cands.(0).Sched.choice_tid) (spin 20_000)
+  in
+  check_bool "one dispatch per read" true (List.length chosen > 20_000);
+  check_bool "recorded = per-dispatch list" true (recorded = chosen);
+  (* Words reachable from the machine after 1,000 and after 20,000
+     dispatches of one thread: a log kept per dispatch would differ by
+     tens of thousands of words, with or without recording. *)
+  let words ~record n =
+    let sim = Sched.create small_cfg in
+    if record then Sched.set_record_schedule sim true;
+    Sched.run sim (spin n);
+    Obj.reachable_words (Obj.repr sim)
+  in
+  List.iter
+    (fun record ->
+      let growth = words ~record 20_000 - words ~record 1_000 in
+      check_bool
+        (Printf.sprintf "recording %b: machine does not grow with dispatches (%d words)"
+           record growth)
+        true (growth < 100))
+    [ false; true ]
+
+let test_recorded_strict_alternation () =
+  let n = 500 in
+  let main () =
+    let yielder () =
+      for _ = 1 to n do
+        Ops.yield ()
+      done
+    in
+    let a = Ops.fork { f = yielder; proc = Some 1; prio = 0; name = "a" } in
+    let b = Ops.fork { f = yielder; proc = Some 1; prio = 0; name = "b" } in
+    Ops.join a;
+    Ops.join b
+  in
+  let pick last cands =
+    match Array.find_opt (fun c -> c.Sched.choice_tid <> last) cands with
+    | Some c -> c.Sched.choice_tid
+    | None -> cands.(0).Sched.choice_tid
+  in
+  let recorded, chosen = recorded_and_chosen ~pick main in
+  let rec switches = function
+    | a :: (b :: _ as rest) -> (if a <> b then 1 else 0) + switches rest
+    | _ -> 0
+  in
+  check_bool "the yielders alternate" true (switches chosen >= 2 * n);
+  check_bool "recorded = per-dispatch list" true (recorded = chosen)
+
 let suite =
   [
     Alcotest.test_case "empty main" `Quick test_empty_main;
@@ -458,4 +534,8 @@ let suite =
     Alcotest.test_case "counters populated" `Quick test_counters_populated;
     Alcotest.test_case "machine is single-use" `Quick test_single_use;
     Alcotest.test_case "priorities stored" `Quick test_priorities_stored;
+    Alcotest.test_case "recorded schedule: single-thread spin" `Quick
+      test_recorded_single_thread_spin;
+    Alcotest.test_case "recorded schedule: strict alternation" `Quick
+      test_recorded_strict_alternation;
   ]
